@@ -14,8 +14,9 @@
 //     was >= 5x; the legacy side has since gotten faster for free (its
 //     five-step model includes the optimized detailed router), so the ratio
 //     understates the original win and the section is tracked, not gated;
-//  4. sim_cycle    — full simulation cycle loop with the route table on vs
-//     off, asserting bit-identical SimResults;
+//  4. sim_cycle    — full simulation cycle loop routing live (no table) vs
+//     from a shared, verified route table, asserting bit-identical
+//     SimResults;
 //  5. dse_greedy_incremental — the whole greedy customization with full
 //     per-candidate re-screening vs the incremental ScreeningContext reuse
 //     (delta-BFS + routing context at their defaults), asserting
@@ -53,10 +54,12 @@
 #include <cstring>
 #include <fstream>
 #include <limits>
+#include <memory>
 #include <queue>
 #include <string>
 #include <vector>
 
+#include "gates.hpp"
 #include "shg/common/prng.hpp"
 #include "shg/customize/incremental.hpp"
 #include "shg/customize/search.hpp"
@@ -325,7 +328,8 @@ BenchResult bench_dse_screen(bool smoke) {
   return result;
 }
 
-// 4. Full simulation cycle loop: route table off vs on, identical results.
+// 4. Full simulation cycle loop: live routing vs a shared route table,
+// identical results.
 BenchResult bench_sim_cycle(bool smoke, bool* results_identical) {
   const topo::Topology topo =
       topo::make_sparse_hamming(10, 10, {3, 6}, {3, 6});
@@ -345,33 +349,24 @@ BenchResult bench_sim_cycle(bool smoke, bool* results_identical) {
   // simulated cycles) are what tracks the inner-loop trajectory over PRs.
   result.note = "10x10 SHG, uniform, rate 0.10; delta isolates route table";
 
-  config.use_route_table = false;
-  sim::Simulator live(topo, latencies, config, *pattern, 1);
+  sim::Simulator live(topo, latencies, config, *pattern, 1);  // no table
   auto t0 = Clock::now();
   const sim::SimResult live_result = live.run();
   result.old_seconds = seconds_since(t0);
 
-  config.use_route_table = true;
-  config.verify_route_table = true;  // equivalence-checking mode
-  sim::Simulator tabled(topo, latencies, config, *pattern, 1);
+  // Equivalence-checking mode: the shared table is verified against the
+  // live routing before the run.
+  const auto routing = sim::make_policy_routing(topo, config);
+  const auto table =
+      std::make_shared<const sim::RouteTable>(topo, *routing, config.num_vcs);
+  table->verify_against(*routing);
+  sim::Simulator tabled(topo, latencies, config, *pattern, 1, nullptr, table);
   t0 = Clock::now();
   const sim::SimResult table_result = tabled.run();
   result.new_seconds = seconds_since(t0);
   result.ops = live_result.cycles_run;
 
-  *results_identical =
-      live_result.offered_rate == table_result.offered_rate &&
-      live_result.accepted_rate == table_result.accepted_rate &&
-      live_result.avg_packet_latency == table_result.avg_packet_latency &&
-      live_result.max_packet_latency == table_result.max_packet_latency &&
-      live_result.p50_packet_latency == table_result.p50_packet_latency &&
-      live_result.p95_packet_latency == table_result.p95_packet_latency &&
-      live_result.p99_packet_latency == table_result.p99_packet_latency &&
-      live_result.avg_hops == table_result.avg_hops &&
-      live_result.fairness == table_result.fairness &&
-      live_result.measured_packets == table_result.measured_packets &&
-      live_result.drained == table_result.drained &&
-      live_result.cycles_run == table_result.cycles_run;
+  *results_identical = live_result == table_result;
   return result;
 }
 
@@ -712,7 +707,7 @@ int main(int argc, char** argv) {
   print_result(results.back());
   const DedupStats dedup = bench_route_table_dedup();
 
-  std::printf("sim results identical (table on vs off): %s\n",
+  std::printf("sim results identical (shared table vs live): %s\n",
               results_identical ? "yes" : "NO — BUG");
   std::printf(
       "incremental DSE identical (context on vs off + oracle): %s\n",
@@ -774,53 +769,34 @@ int main(int argc, char** argv) {
   }
   std::printf("wrote %s\n", out_path.c_str());
 
-  // Exit non-zero when the acceptance invariants are violated so CI can
-  // gate on the smoke run.
-  if (!results_identical) return 1;
-  if (!incremental_identical) {
-    std::fprintf(stderr,
-                 "FAIL: incremental screening diverged from full screening\n");
-    return 1;
-  }
-  if (greedy_speedup < 1.5) {
-    std::fprintf(stderr,
-                 "FAIL: dse_greedy_incremental speedup %.2fx below the 1.5x "
-                 "acceptance bar\n",
-                 greedy_speedup);
-    return 1;
-  }
-  if (!routing_incremental_identical) {
-    std::fprintf(stderr,
-                 "FAIL: incremental routing diverged (loads, oracle, or "
-                 "search history)\n");
-    return 1;
-  }
-  if (routing_speedup < 2.0) {
-    std::fprintf(stderr,
-                 "FAIL: dse_greedy_routing_incremental speedup %.2fx below "
-                 "the 2x acceptance bar\n",
-                 routing_speedup);
-    return 1;
-  }
-  if (!session_identical) {
-    std::fprintf(stderr,
-                 "FAIL: warm session re-invocation diverged from the cold "
-                 "search (history, final report, or no cache hits)\n");
-    return 1;
-  }
-  if (session_speedup < 3.0) {
-    std::fprintf(stderr,
-                 "FAIL: dse_session_warm speedup %.2fx below the 3x "
-                 "acceptance bar\n",
-                 session_speedup);
-    return 1;
-  }
-  if (dedup.bytes_deduped >= dedup.bytes_undeduped) {
-    std::fprintf(stderr,
-                 "FAIL: route-table dedup did not shrink the table (%zu >= "
-                 "%zu bytes)\n",
-                 dedup.bytes_deduped, dedup.bytes_undeduped);
-    return 1;
-  }
-  return 0;
+  // Exit non-zero when any acceptance invariant is violated so CI can gate
+  // on the smoke run.
+  bench::Gates gates;
+  gates.check(results_identical,
+              "sim results diverged between live routing and the shared "
+              "route table");
+  gates.check(incremental_identical,
+              "incremental screening diverged from full screening");
+  gates.check(greedy_speedup >= 1.5,
+              "dse_greedy_incremental speedup %.2fx below the 1.5x "
+              "acceptance bar",
+              greedy_speedup);
+  gates.check(routing_incremental_identical,
+              "incremental routing diverged (loads, oracle, or search "
+              "history)");
+  gates.check(routing_speedup >= 2.0,
+              "dse_greedy_routing_incremental speedup %.2fx below the 2x "
+              "acceptance bar",
+              routing_speedup);
+  gates.check(session_identical,
+              "warm session re-invocation diverged from the cold search "
+              "(history, final report, or no cache hits)");
+  gates.check(session_speedup >= 3.0,
+              "dse_session_warm speedup %.2fx below the 3x acceptance bar",
+              session_speedup);
+  gates.check(dedup.bytes_deduped < dedup.bytes_undeduped,
+              "route-table dedup did not shrink the table (%zu >= %zu "
+              "bytes)",
+              dedup.bytes_deduped, dedup.bytes_undeduped);
+  return gates.exit_code();
 }

@@ -3,12 +3,13 @@
 // reference AoS engine across fabric sizes and workloads.
 //
 // Grid: {10x10, 32x32, 64x64} meshes x {uniform, hotspot, onoff}. The two
-// small tiers run BOTH engines and report flits/sec each; 64x64 runs the
-// SoA engine only with live routing (the all-pairs route table is the
-// scaling wall there — building it would dwarf the simulation), proving the
-// size-up the overhaul exists for. A concentrated 16x16 c=4 row (same 1024
-// terminals as the 32x32 mesh on a quarter of the routers) tracks the
-// concentration path.
+// small tiers run BOTH engines (Simulator::run and run_reference) from one
+// shared route table per tier, built outside every timer, and report
+// flits/sec each; 64x64 runs the SoA engine only with live routing (the
+// all-pairs route table is the scaling wall there — building it would
+// dwarf the simulation), proving the size-up the overhaul exists for. A
+// concentrated 16x16 c=4 row (same 1024 terminals as the 32x32 mesh on a
+// quarter of the routers) tracks the concentration path.
 //
 // A routing-policy section (schema v3) saturates 32x32 fabrics (mesh and
 // torus) under the two adversarial workloads (hotspot, transpose) with
@@ -19,7 +20,8 @@
 // occupancy signal goes stale — all four rows ship in the JSON so the
 // trade-off stays visible.
 //
-// Acceptance gates (non-zero exit so CI can gate on the smoke run):
+// Acceptance gates (every one evaluated and every failure printed; non-zero
+// exit so CI can gate on the smoke run):
 //  * bit-identity at 10x10 — every SimResult field of the SoA engine must
 //    equal the AoS engine exactly, for all three workloads;
 //  * >= 3x SoA-over-AoS flits/sec at 32x32 uniform;
@@ -37,10 +39,13 @@
 #include <cstring>
 #include <fstream>
 #include <limits>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "gates.hpp"
+#include "shg/sim/route_table.hpp"
 #include "shg/sim/simulator.hpp"
 #include "shg/sim/traffic_spec.hpp"
 #include "shg/topo/generators.hpp"
@@ -57,19 +62,6 @@ double seconds_since(Clock::time_point start) {
 std::vector<int> unit_latencies(const topo::Topology& topo) {
   return std::vector<int>(static_cast<std::size_t>(topo.graph().num_edges()),
                           1);
-}
-
-bool same_result(const sim::SimResult& a, const sim::SimResult& b) {
-  return a.offered_rate == b.offered_rate &&
-         a.accepted_rate == b.accepted_rate &&
-         a.avg_packet_latency == b.avg_packet_latency &&
-         a.max_packet_latency == b.max_packet_latency &&
-         a.p50_packet_latency == b.p50_packet_latency &&
-         a.p95_packet_latency == b.p95_packet_latency &&
-         a.p99_packet_latency == b.p99_packet_latency &&
-         a.avg_hops == b.avg_hops && a.fairness == b.fairness &&
-         a.measured_packets == b.measured_packets &&
-         a.drained == b.drained && a.cycles_run == b.cycles_run;
 }
 
 struct Row {
@@ -118,25 +110,31 @@ struct Tier {
   topo::Topology topo;
   bool both_engines;   ///< time AoS too (and check identity)
   bool check_identity; ///< gate on bit-identical SimResults
-  bool use_table;      ///< route-table mode (off = live routing)
+  bool use_table;      ///< shared route table (off = live routing)
   double rate;
   int reps;            ///< timing reps per engine (min-of-reps)
 };
 
-Row run_tier(const Tier& tier, const std::string& workload, bool smoke) {
-  const sim::TrafficSpec spec = sim::TrafficSpec::parse(workload);
-  const auto pattern =
-      spec.make_pattern(tier.topo.rows(), tier.topo.cols(),
-                        tier.topo.concentration());
-  const std::vector<int> latencies = unit_latencies(tier.topo);
-
+sim::SimConfig tier_config(const Tier& tier, bool smoke) {
   sim::SimConfig config;
   config.num_vcs = 2;
   config.buffer_depth_flits = 4;
   config.injection_rate = tier.rate;
   config.warmup_cycles = smoke ? 200 : 500;
   config.measure_cycles = smoke ? 600 : 2000;
-  config.use_route_table = tier.use_table;
+  return config;
+}
+
+/// `table` is the tier's shared route table, or null to route live.
+Row run_tier(const Tier& tier,
+             const std::shared_ptr<const sim::RouteTable>& table,
+             const std::string& workload, bool smoke) {
+  const sim::TrafficSpec spec = sim::TrafficSpec::parse(workload);
+  const auto pattern =
+      spec.make_pattern(tier.topo.rows(), tier.topo.cols(),
+                        tier.topo.concentration());
+  const std::vector<int> latencies = unit_latencies(tier.topo);
+  const sim::SimConfig config = tier_config(tier, smoke);
 
   const int ports = tier.topo.concentration() > 1
                         ? tier.topo.concentration()
@@ -151,15 +149,12 @@ Row run_tier(const Tier& tier, const std::string& workload, bool smoke) {
   row.dual_engine = tier.both_engines;
 
   sim::SimResult soa_result;
-  config.use_soa_engine = true;
   row.soa_seconds = std::numeric_limits<double>::infinity();
   for (int r = 0; r < tier.reps; ++r) {
-    // Construction (route-table build included) happens outside the timer:
-    // the table is a per-topology artifact sweeps amortize, the run loop is
-    // what this benchmark tracks.
+    // Construction happens outside the timer: the run loop is what this
+    // benchmark tracks.
     sim::Simulator soa(tier.topo, latencies, config, *pattern, 1, nullptr,
-                       nullptr,
-                       spec.make_process(packet_prob, num_sources));
+                       table, spec.make_process(packet_prob, num_sources));
     const auto t0 = Clock::now();
     soa_result = soa.run();
     row.soa_seconds = std::min(row.soa_seconds, seconds_since(t0));
@@ -170,18 +165,16 @@ Row run_tier(const Tier& tier, const std::string& workload, bool smoke) {
 
   if (tier.both_engines) {
     sim::SimResult aos_result;
-    config.use_soa_engine = false;
     row.aos_seconds = std::numeric_limits<double>::infinity();
     for (int r = 0; r < tier.reps; ++r) {
       sim::Simulator aos(tier.topo, latencies, config, *pattern, 1, nullptr,
-                         nullptr,
-                         spec.make_process(packet_prob, num_sources));
+                         table, spec.make_process(packet_prob, num_sources));
       const auto t0 = Clock::now();
-      aos_result = aos.run();
+      aos_result = aos.run_reference();
       row.aos_seconds = std::min(row.aos_seconds, seconds_since(t0));
     }
     if (tier.check_identity) {
-      row.identical = same_result(aos_result, soa_result);
+      row.identical = aos_result == soa_result;
       if (!row.identical) {
         std::fprintf(stderr,
                      "BIT-IDENTITY VIOLATION: %s %s — SoA diverged from "
@@ -208,8 +201,8 @@ struct SatRow {
 /// One saturated SoA run; returns the accepted load (flits/cycle/port)
 /// measured past the saturation point. Both policies get identical VC and
 /// buffer resources (the UGAL floor of 4 VCs), so the comparison isolates
-/// the routing decision; live routing on both sides keeps the all-pairs
-/// UGAL table out of the measurement.
+/// the routing decision; live routing on both sides (no table passed) keeps
+/// the all-pairs UGAL table out of the measurement.
 double run_saturated(const topo::Topology& topo, sim::RoutingPolicy policy,
                      const std::string& workload, double rate, bool smoke) {
   const sim::TrafficSpec spec = sim::TrafficSpec::parse(workload);
@@ -226,8 +219,6 @@ double run_saturated(const topo::Topology& topo, sim::RoutingPolicy policy,
   config.drain_cycles = smoke ? 500 : 2000;  // saturated runs rarely drain;
                                              // cap the tail, it is not gated
   config.routing_policy = policy;
-  config.use_route_table = false;
-  config.use_soa_engine = true;
 
   const double packet_prob =
       config.injection_rate / static_cast<double>(config.packet_size_flits);
@@ -315,9 +306,18 @@ int main(int argc, char** argv) {
   bool scale_drained = true;
   double gate_speedup = 0.0;
   for (const Tier& tier : tiers) {
+    // One route table per tier, built outside every timer: the table is a
+    // per-topology artifact sweeps amortize.
+    std::shared_ptr<const sim::RouteTable> table;
+    if (tier.use_table) {
+      const sim::SimConfig config = tier_config(tier, smoke);
+      table = std::make_shared<const sim::RouteTable>(
+          tier.topo, *sim::make_policy_routing(tier.topo, config),
+          config.num_vcs);
+    }
     for (const std::string& workload :
          workloads(tier.topo.num_tiles() * tier.topo.concentration())) {
-      rows.push_back(run_tier(tier, workload, smoke));
+      rows.push_back(run_tier(tier, table, workload, smoke));
       print_row(rows.back());
       const Row& r = rows.back();
       all_identical = all_identical && r.identical;
@@ -406,28 +406,15 @@ int main(int argc, char** argv) {
   }
   std::printf("wrote %s\n", out_path.c_str());
 
-  if (!all_identical) {
-    std::fprintf(stderr,
-                 "FAIL: SoA engine diverged from the AoS reference\n");
-    return 1;
-  }
-  if (gate_speedup < 3.0) {
-    std::fprintf(stderr,
-                 "FAIL: 32x32 uniform speedup %.2fx below the 3x acceptance "
-                 "bar\n",
-                 gate_speedup);
-    return 1;
-  }
-  if (!scale_drained) {
-    std::fprintf(stderr, "FAIL: a 64x64 run did not drain\n");
-    return 1;
-  }
-  if (best_ratio < 1.5) {
-    std::fprintf(stderr,
-                 "FAIL: UGAL best accepted-load ratio %.2fx below the 1.5x "
-                 "acceptance bar (adaptivity is not paying off)\n",
-                 best_ratio);
-    return 1;
-  }
-  return 0;
+  bench::Gates gates;
+  gates.check(all_identical, "SoA engine diverged from the AoS reference");
+  gates.check(gate_speedup >= 3.0,
+              "32x32 uniform speedup %.2fx below the 3x acceptance bar",
+              gate_speedup);
+  gates.check(scale_drained, "a 64x64 run did not drain");
+  gates.check(best_ratio >= 1.5,
+              "UGAL best accepted-load ratio %.2fx below the 1.5x acceptance "
+              "bar (adaptivity is not paying off)",
+              best_ratio);
+  return gates.exit_code();
 }

@@ -133,30 +133,35 @@ int main(int argc, char** argv) {
     trace_paths.push_back(path);
     const auto shared = std::make_shared<const sim::Trace>(trace);
 
-    for (const bool soa : {false, true}) {
-      sim::SimConfig run_config = config.sim;
-      run_config.use_soa_engine = soa;
+    for (const bool reference : {true, false}) {
+      auto run = [&](sim::Simulator& simulator) {
+        return reference ? simulator.run_reference() : simulator.run();
+      };
       // Live: the synthetic pattern/process pair the trace was recorded
-      // from, running its own RNG draws.
+      // from, running its own RNG draws. Each timed run builds its own
+      // route table inside the timer.
       const auto pattern = spec.make_pattern(rows, cols);
       auto process = spec.make_process(
           rec.injection_rate /
-              static_cast<double>(run_config.packet_size_flits),
+              static_cast<double>(config.sim.packet_size_flits),
           num_tiles);
       auto t0 = Clock::now();
-      sim::Simulator live(topology, latencies, run_config, *pattern, 1,
-                          nullptr, nullptr, std::move(process));
-      const sim::SimResult live_result = live.run();
+      sim::Simulator live(topology, latencies, config.sim, *pattern, 1,
+                          nullptr,
+                          eval::make_shared_route_table(topology, config),
+                          std::move(process));
+      const sim::SimResult live_result = run(live);
       live_seconds += seconds_since(t0);
 
       // Replay: pure function of the trace bytes, zero RNG draws.
       sim::TraceWorkload workload = sim::make_trace_replay(
-          shared, num_tiles, num_tiles, run_config.packet_size_flits);
+          shared, num_tiles, num_tiles, config.sim.packet_size_flits);
       t0 = Clock::now();
-      sim::Simulator replay(topology, latencies, run_config,
-                            *workload.pattern, 1, nullptr, nullptr,
+      sim::Simulator replay(topology, latencies, config.sim,
+                            *workload.pattern, 1, nullptr,
+                            eval::make_shared_route_table(topology, config),
                             std::move(workload.process));
-      const sim::SimResult replay_result = replay.run();
+      const sim::SimResult replay_result = run(replay);
       replay_seconds += seconds_since(t0);
 
       if (!results_identical(live_result, replay_result) ||
@@ -164,7 +169,7 @@ int main(int argc, char** argv) {
         std::fprintf(stderr,
                      "FAIL: %s replay diverged from the live run on the "
                      "%s engine\n",
-                     family.spec, soa ? "SoA" : "AoS");
+                     family.spec, reference ? "AoS" : "SoA");
         differential_ok = false;
       }
     }

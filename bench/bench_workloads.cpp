@@ -5,9 +5,9 @@
 // ways:
 //
 //  1. legacy_serial — the pre-engine control flow: a hand-rolled loop
-//     over every point, each constructing its own Simulator (and
-//     therefore its own route table), exactly how callers plumbed sweeps
-//     by hand before the experiment engine existed;
+//     over every point, each constructing its own Simulator and its own
+//     route table, exactly how callers plumbed sweeps by hand before the
+//     experiment engine existed;
 //  2. engine_serial — the experiment engine pinned to one worker
 //     (set_max_threads(1)): isolates the route-table sharing win;
 //  3. engine_batched — the engine at the default worker count: adds the
@@ -41,6 +41,7 @@
 #include <string>
 #include <vector>
 
+#include "gates.hpp"
 #include "shg/common/parallel.hpp"
 #include "shg/customize/session.hpp"
 #include "shg/eval/experiment.hpp"
@@ -101,9 +102,11 @@ double run_legacy_serial(const eval::ExperimentSpec& spec) {
           auto process = parsed.make_process(
               rate / static_cast<double>(config.packet_size_flits),
               tc.topology.num_tiles() * spec.endpoints_per_tile);
-          sim::Simulator simulator(tc.topology, latencies, config, *pattern,
-                                   spec.endpoints_per_tile, nullptr, nullptr,
-                                   std::move(process));
+          sim::Simulator simulator(
+              tc.topology, latencies, config, *pattern,
+              spec.endpoints_per_tile, nullptr,
+              eval::make_shared_route_table(tc.topology, spec.config),
+              std::move(process));
           sink += simulator.run().avg_packet_latency;
         }
       }
@@ -263,27 +266,18 @@ int main(int argc, char** argv) {
 
   // Exit non-zero when any invariant is violated so CI can gate on the
   // smoke run.
-  if (!identical) return 1;
-  if (!warm_zero_sims || !warm_identical) {
-    std::fprintf(stderr,
-                 "FAIL: warm campaign simulated %zu cells (want 0) or "
-                 "diverged from the cold report\n",
-                 warm_report.sim_simulated);
-    return 1;
-  }
-  if (warm_speedup < 5.0) {
-    std::fprintf(stderr,
-                 "FAIL: warm-campaign speedup %.2fx below the 5x acceptance "
-                 "bar\n",
-                 warm_speedup);
-    return 1;
-  }
-  if (!merge_zero_sims || !merge_identical) {
-    std::fprintf(stderr,
-                 "FAIL: 2-shard merge simulated %zu cells (want 0) or "
-                 "diverged from the single-process report\n",
-                 merge_report.sim_simulated);
-    return 1;
-  }
-  return 0;
+  bench::Gates gates;
+  gates.check(identical, "serial and batched experiment reports diverged");
+  gates.check(warm_zero_sims && warm_identical,
+              "warm campaign simulated %zu cells (want 0) or diverged from "
+              "the cold report",
+              warm_report.sim_simulated);
+  gates.check(warm_speedup >= 5.0,
+              "warm-campaign speedup %.2fx below the 5x acceptance bar",
+              warm_speedup);
+  gates.check(merge_zero_sims && merge_identical,
+              "2-shard merge simulated %zu cells (want 0) or diverged from "
+              "the single-process report",
+              merge_report.sim_simulated);
+  return gates.exit_code();
 }

@@ -284,7 +284,7 @@ Fingerprint fingerprint_child(const Fingerprint& arch_fp,
 // platforms CI runs, forcing whoever adds it to extend
 // fingerprint_sim_config below (and the perturb-every-field test in
 // tests/experiment_test.cpp) before cached cells can silently alias.
-static_assert(sizeof(void*) != 8 || sizeof(sim::SimConfig) == 96,
+static_assert(sizeof(void*) != 8 || sizeof(sim::SimConfig) == 88,
               "SimConfig changed size: add the new field to "
               "fingerprint_sim_config and to the perturbation test, then "
               "update this assertion");
@@ -296,7 +296,9 @@ Fingerprint fingerprint_sim_config(const sim::SimConfig& config) {
   // always-minimal UGAL run and a plain minimal run occupy distinct cache
   // cells even though their results are bit-identical — cheaper than
   // proving the degeneracy at every lookup site.
-  b.tag("shg.simconfig.v2");
+  // v3: the engine and route-table switches left SimConfig (they chose an
+  // implementation, never a result bit).
+  b.tag("shg.simconfig.v3");
   b.i64(config.num_vcs).i64(config.buffer_depth_flits);
   b.i64(config.router_delay_cycles);
   b.i64(config.packet_size_flits);
@@ -304,9 +306,6 @@ Fingerprint fingerprint_sim_config(const sim::SimConfig& config) {
   b.i64(config.concentration);
   b.i64(config.warmup_cycles).i64(config.measure_cycles);
   b.i64(config.drain_cycles);
-  b.u64(config.use_route_table ? 1 : 0);
-  b.u64(config.verify_route_table ? 1 : 0);
-  b.u64(config.use_soa_engine ? 1 : 0);
   b.u64(static_cast<std::uint64_t>(config.latency_sample_cap));
   b.i64(static_cast<long long>(config.routing_policy));
   b.i64(config.ugal_bias_flits);

@@ -40,13 +40,14 @@
 //    the kind selects the default routing function — concentration, link
 //    latencies, endpoint count), the workload's canonical TrafficSpec
 //    string, and EVERY field of `sim::SimConfig` including the injection
-//    rate and seed. The engine-selection flags (use_route_table /
-//    verify_route_table / use_soa_engine) are bit-identity-neutral by the
-//    simulator's oracle-tested contract, but they are keyed anyway: the
-//    cell key is deliberately total over SimConfig so that a new config
-//    field can never silently alias existing cache entries — the
-//    static_assert on sizeof(SimConfig) next to the routine (cache.cpp)
-//    and the perturb-every-field unit test enforce totality.
+//    rate and seed. SimConfig describes only the simulated network; the
+//    engine and the route table are chosen by the caller (Simulator::run
+//    vs run_reference, a shared table or none), cannot change a result
+//    bit, and so are not keyed. The cell key is deliberately total over
+//    SimConfig so that a new config field can never silently alias
+//    existing cache entries — the static_assert on sizeof(SimConfig) next
+//    to the routine (cache.cpp) and the perturb-every-field unit test
+//    enforce totality.
 //  * Screening-mode domain separation: every key mixes a version/mode tag.
 //    All current screening paths are exact (bit-identical to a fresh
 //    `screen_candidate` / `screen_topology` run) and share one tag; a

@@ -203,10 +203,8 @@ struct CellEngine {
     // before) and stored back. Session traffic stays on this thread.
     std::vector<std::size_t> to_build;
     std::vector<customize::Fingerprint> table_keys(num_topos);
-    const bool use_session_tables =
-        spec.session != nullptr && spec.config.sim.use_route_table;
     for (std::size_t t = 0; t < num_topos; ++t) {
-      if (use_session_tables) {
+      if (spec.session != nullptr) {
         table_keys[t] =
             route_table_key(spec.topologies[t].topology, spec.config.sim);
         if (const auto artifact =
@@ -223,11 +221,9 @@ struct CellEngine {
       tables[t] =
           make_shared_route_table(spec.topologies[t].topology, spec.config);
     });
-    if (use_session_tables) {
+    if (spec.session != nullptr) {
       for (std::size_t t : to_build) {
-        if (tables[t] != nullptr) {
-          spec.session->store_artifact(table_keys[t], tables[t]);
-        }
+        spec.session->store_artifact(table_keys[t], tables[t]);
       }
     }
 
@@ -417,13 +413,9 @@ ExperimentReport run_experiment(const ExperimentSpec& spec) {
     const TopologyCase& tc = spec.topologies[t];
     const std::string topo_label =
         tc.label.empty() ? tc.topology.name() : tc.label;
-    if (tables[t] != nullptr) {
-      report.route_tables.push_back(
-          TableFootprint{topo_label, tables[t]->num_rows(),
-                         tables[t]->num_unique_rows(),
-                         tables[t]->memory_bytes(),
-                         tables[t]->undeduped_memory_bytes()});
-    }
+    report.route_tables.push_back(TableFootprint{
+        topo_label, tables[t]->num_rows(), tables[t]->num_unique_rows(),
+        tables[t]->memory_bytes(), tables[t]->undeduped_memory_bytes()});
     for (std::size_t w = 0; w < num_traffic; ++w) {
       const TrafficCase& wc = spec.traffic[w];
       std::string traffic_label = wc.label;

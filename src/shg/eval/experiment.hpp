@@ -125,8 +125,7 @@ struct TableFootprint {
 struct ExperimentReport {
   std::string name;
   std::vector<ExperimentPoint> points;
-  /// One entry per topology with a shared route table (empty when
-  /// SimConfig::use_route_table is off), in spec order.
+  /// The shared route table of every topology, in spec order.
   std::vector<TableFootprint> route_tables;
   /// Result-tier accounting of this invocation (all zero without a
   /// session). Deliberately NOT rendered into the JSON/CSV reports: the

@@ -17,7 +17,6 @@ sim::SimResult simulate_at_rate(
 
 std::shared_ptr<const sim::RouteTable> make_shared_route_table(
     const topo::Topology& topo, const PerfConfig& config) {
-  if (!config.sim.use_route_table) return nullptr;
   // Policy-aware: an ugal config gets a table with the UGAL candidate rows
   // (and the ugal_info sidecar the simulator requires); minimal configs get
   // the family default, exactly as before.

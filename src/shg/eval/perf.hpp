@@ -47,9 +47,9 @@ sim::SimResult simulate_at_rate(
     const PerfConfig& config, double rate,
     std::shared_ptr<const sim::RouteTable> shared_table = nullptr);
 
-/// Builds the route table the default routing of `topo` would use, for
-/// sharing across the simulations of a sweep or bisection. Returns null when
-/// the config disables route tables.
+/// Builds the route table the policy routing of `topo` under `config` would
+/// use, for sharing across the simulations of a sweep or bisection (a lone
+/// Simulator given no table routes live instead). Never null.
 std::shared_ptr<const sim::RouteTable> make_shared_route_table(
     const topo::Topology& topo, const PerfConfig& config);
 

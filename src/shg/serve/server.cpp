@@ -11,6 +11,7 @@
 #include <cstring>
 #include <deque>
 #include <mutex>
+#include <string>
 #include <vector>
 
 #include "shg/common/parallel.hpp"
@@ -109,8 +110,7 @@ std::size_t Server::serve_stream(int in_fd, int out_fd) {
     }
   };
 
-  const auto enqueue = [&](const std::string& line) -> bool {
-    Request request = service_.parse_request(line);
+  const auto enqueue = [&](Request request) -> bool {
     const bool is_shutdown = request.valid && request.op == Op::kShutdown;
     {
       const std::lock_guard<std::mutex> lock(queue_mutex);
@@ -121,9 +121,19 @@ std::size_t Server::serve_stream(int in_fd, int out_fd) {
     return is_shutdown;
   };
 
+  // An over-long line is answered with an error; its bytes are dropped up
+  // to the next newline (`skipping`) instead of buffered.
+  const auto reject_long_line = [&] {
+    Request request;
+    request.error = "request line exceeds " +
+                    std::to_string(kMaxRequestLineBytes) + " bytes";
+    enqueue(std::move(request));
+  };
+
   std::string buffer;
   char chunk[4096];
   bool stop = false;
+  bool skipping = false;
   while (!stop) {
     const ssize_t n = ::read(in_fd, chunk, sizeof(chunk));
     if (n < 0) {
@@ -138,18 +148,32 @@ std::size_t Server::serve_stream(int in_fd, int out_fd) {
       if (nl == std::string::npos) break;
       std::string line = buffer.substr(start, nl - start);
       start = nl + 1;
+      if (skipping) {  // the tail of an over-long line, already answered
+        skipping = false;
+        continue;
+      }
+      if (line.size() > kMaxRequestLineBytes) {
+        reject_long_line();
+        continue;
+      }
       if (!line.empty() && line.back() == '\r') line.pop_back();
       if (blank_line(line)) continue;
       // A shutdown op stops reading immediately (unread input is
       // deliberately dropped — the client asked to stop); its response is
       // still written by the drain below.
-      stop = enqueue(line);
+      stop = enqueue(service_.parse_request(line));
     }
     buffer.erase(0, start);
+    if (!stop && !skipping && buffer.size() > kMaxRequestLineBytes) {
+      reject_long_line();
+      skipping = true;
+    }
+    if (skipping) buffer.clear();
   }
-  if (!stop && !blank_line(buffer)) {
+  if (!stop && !skipping && !blank_line(buffer)) {
     if (!buffer.empty() && buffer.back() == '\r') buffer.pop_back();
-    enqueue(buffer);  // final unterminated line before EOF
+    // final unterminated line before EOF
+    enqueue(service_.parse_request(buffer));
   }
   pool.drain();
   return served;

@@ -20,7 +20,9 @@
 // Shutdown: a "shutdown" op stops the reader after in-flight requests
 // drain (its own response included); EOF on the stream ends that stream
 // the same way. Socket servers then stop accepting. Malformed lines are
-// answered with ok:false replies and never terminate the process.
+// answered with ok:false replies and never terminate the process; so is a
+// line longer than kMaxRequestLineBytes, whose bytes are discarded up to
+// its newline instead of buffered.
 #pragma once
 
 #include <cstddef>
@@ -29,6 +31,10 @@
 #include "shg/serve/service.hpp"
 
 namespace shg::serve {
+
+/// Longest request line the server buffers (1 MiB). A peer that never sends
+/// '\n' cannot grow the read buffer past this.
+inline constexpr std::size_t kMaxRequestLineBytes = std::size_t{1} << 20;
 
 struct ServerOptions {
   /// Worker pool size; 0 uses max_threads().

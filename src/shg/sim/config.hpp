@@ -30,7 +30,10 @@ enum class RoutingPolicy : std::int32_t {
   kUgal = 1,
 };
 
-/// Knobs of one simulation run.
+/// Knobs of one simulation run. Every field describes the simulated network
+/// or its measurement; how the simulator computes the result (engine, route
+/// table or live routing) is not configured here and never changes a
+/// SimResult bit (see Simulator).
 ///
 /// Every field is part of the experiment-cell cache key
 /// (customize::fingerprint_sim_config) — a sizeof-based static_assert next
@@ -63,24 +66,6 @@ struct SimConfig {
   long long warmup_cycles = 1000;
   long long measure_cycles = 3000;
   long long drain_cycles = 40000;  ///< cap on the drain phase
-
-  // Route-table acceleration: precompute every routing decision into a flat
-  // table at simulator construction so no RoutingFunction::route() call (or
-  // vector allocation) happens per head flit. Results are bit-identical with
-  // the table on or off; turn it off only when the table's memory footprint
-  // is a concern (it grows with nodes^2 * radix * VCs).
-  bool use_route_table = true;
-  // Equivalence-checking mode: after building the table, re-derive every
-  // entry from the live routing function and fail loudly on any mismatch.
-  bool verify_route_table = false;
-
-  // Structure-of-arrays hot loop (sim/soa_network.hpp): flat ring-buffer
-  // slabs instead of per-object deques, an active-router worklist instead
-  // of full-network sweeps, and whole-network quiescence fast-forward
-  // between injections. Results are bit-identical with the engine on or
-  // off (the bench_sim_scale gate and the sim_soa_test suite enforce it);
-  // turn it off only to run the reference AoS path.
-  bool use_soa_engine = true;
 
   /// Latency samples stored exactly before the Distribution folds into its
   /// integer-binned mode (see sim/stats.hpp). Below the cap percentiles are

@@ -33,12 +33,12 @@
 // rows (ejection states, states the routing function rejects) collapse
 // into a single empty unique row. Candidate order within a list is
 // preserved from the routing function (the VC allocator tries candidates
-// front to back), so simulation results are bit-identical with the table
-// on or off, deduplicated or not.
+// front to back), so simulation results are bit-identical with a table or
+// without one, deduplicated or not.
 //
 // Equivalence checking: verify_against() re-derives every row from a live
-// routing function and throws on the first mismatch; SimConfig's
-// verify_route_table flag runs it at simulator construction.
+// routing function and throws on the first mismatch. The simulator never
+// runs it; a caller that wants the proof calls it on the table it passes.
 #pragma once
 
 #include <cstdint>

@@ -134,11 +134,8 @@ void Router::compute_route(int port, int vc) {
     const int in_vc = from_network ? vc : -1;
     if (ugal_mode_) {
       compute_route_ugal(ivc, in_port, in_vc);
-    } else if (table_ != nullptr) {
-      ivc.routes = table_->lookup(node_, in_port, in_vc, head.dest);
     } else {
-      ivc.live_candidates = routing_->route(node_, in_port, in_vc, head.dest);
-      ivc.routes = ivc.live_candidates;
+      ivc.routes = row(in_port, in_vc, head.dest, ivc.live_candidates);
     }
     SHG_ASSERT(!ivc.routes.empty(), "routing returned no candidates");
   }

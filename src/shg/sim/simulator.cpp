@@ -109,38 +109,24 @@ Simulator::Simulator(const topo::Topology& topo,
                 "shared route table was built for a different routing "
                 "policy (minimal vs ugal)");
   }
-  // With a shared table and no verification request, the routing function
-  // is never consulted — skip constructing the default one (for table-based
-  // families its constructor redoes the all-pairs work the shared table
-  // exists to amortize).
-  const bool need_routing =
-      routing_ == nullptr &&
-      (route_table_ == nullptr || config_.verify_route_table);
-  if (need_routing) {
+  // Live routing needs a routing function; a table run never consults one
+  // (for table-based families its constructor redoes the all-pairs work the
+  // shared table exists to amortize).
+  if (route_table_ == nullptr && routing_ == nullptr) {
     routing_ = make_policy_routing(topo, config_);
-  }
-  if (route_table_ == nullptr && config_.use_route_table) {
-    route_table_ =
-        std::make_shared<const RouteTable>(topo, *routing_, config_.num_vcs);
-  }
-  if (route_table_ != nullptr && config_.verify_route_table) {
-    route_table_->verify_against(*routing_);
   }
 }
 
 SimResult Simulator::run() {
-  if (config_.use_soa_engine) {
-    SoaEngine engine(*topo_, link_latencies_, config_, *pattern_,
-                     endpoints_per_tile_, routing_.get(), route_table_.get(),
-                     process_.get());
-    const SimResult result = engine.run();
-    last_ugal_nonminimal_ = engine.ugal_nonminimal();
-    return result;
-  }
-  return run_aos();
+  SoaEngine engine(*topo_, link_latencies_, config_, *pattern_,
+                   endpoints_per_tile_, routing_.get(), route_table_.get(),
+                   process_.get());
+  const SimResult result = engine.run();
+  last_ugal_nonminimal_ = engine.ugal_nonminimal();
+  return result;
 }
 
-SimResult Simulator::run_aos() {
+SimResult Simulator::run_reference() {
   Network network(*topo_, link_latencies_, config_, routing_.get(),
                   endpoints_per_tile_, route_table_.get());
   Prng rng(config_.seed);

@@ -2,11 +2,17 @@
 // latency/throughput statistics (the BookSim2 substitute of the prediction
 // toolchain, Fig. 3).
 //
-// Two engines produce bit-identical results (ARCHITECTURE.md, "Simulator
-// hot loop"): the reference AoS path (Network/Router/Channel objects,
-// per-cycle full sweeps) and the SoA hot loop (sim/soa_network.hpp: flat
-// slabs, an active-router worklist and quiescence fast-forward), selected
-// by SimConfig::use_soa_engine.
+// run() executes the SoA hot loop (sim/soa_network.hpp: flat slabs, an
+// active-router worklist and quiescence fast-forward). run_reference()
+// executes the reference AoS path (Network/Router/Channel objects,
+// per-cycle full sweeps); the two are bit-identical (ARCHITECTURE.md,
+// "Simulator hot loop") and the differential suites hold them together.
+//
+// Routing: a Simulator routes from a precomputed RouteTable only when the
+// caller passes one; otherwise it calls the routing function live. Callers
+// that run many simulations on one topology (campaigns, bisection) build
+// the table once (eval::make_shared_route_table) and pass it to each run.
+// Either way the results are bit-identical.
 #pragma once
 
 #include <memory>
@@ -55,11 +61,11 @@ class Simulator {
   /// 1 when the run is concentrated (SimConfig::concentration > 1 or a
   /// topology built by make_concentrated_mesh), because the concentration
   /// then defines the endpoint count.
-  /// If `routing` is null, the topology family's default deadlock-free
-  /// routing is used. `shared_table` lets callers running many simulations
-  /// on one topology (sweeps, bisection) reuse one precomputed route table
-  /// instead of rebuilding it per run; it must match the routing function
-  /// and VC count, which verify_route_table can check.
+  /// If `shared_table` is non-null every routing decision is a table
+  /// lookup; it must match the routing the run would use (callers that want
+  /// proof call RouteTable::verify_against). Otherwise the simulator routes
+  /// live through `routing`, or through the topology family's default
+  /// deadlock-free routing when `routing` is null.
   /// If `process` is null, a Bernoulli injection process at
   /// config.injection_rate / config.packet_size_flits packets per cycle
   /// per source is used — the classic (and pre-refactor) behavior.
@@ -73,16 +79,11 @@ class Simulator {
   /// Runs warmup + measurement + drain and returns the statistics.
   SimResult run();
 
-  /// The live routing function. Not available when a shared route table
-  /// (without verification) made constructing one unnecessary.
-  const RoutingFunction& routing() const {
-    SHG_REQUIRE(routing_ != nullptr,
-                "simulator runs purely from a shared route table; no live "
-                "routing function was constructed");
-    return *routing_;
-  }
+  /// The same run on the reference AoS engine: slower, bit-identical to
+  /// run(). The oracle the engine-identity suites and bench gates use.
+  SimResult run_reference();
 
-  /// The precomputed route table (null when config.use_route_table is off).
+  /// The route table passed at construction (null when routing live).
   const RouteTable* route_table() const { return route_table_.get(); }
 
   /// The injection process driving packet generation (never null).
@@ -101,9 +102,6 @@ class Simulator {
     int hops = 0;
     bool measured = false;
   };
-
-  /// Reference engine: AoS Network/Router objects, full sweeps per cycle.
-  SimResult run_aos();
 
   const topo::Topology* topo_;
   std::vector<int> link_latencies_;

@@ -146,10 +146,9 @@ void SoaEngine::build_fabric(const topo::Topology& topo,
   ivc_routes_.assign(slots, nullptr);
   ivc_routes_len_.assign(slots, 0);
   ivc_eject_.assign(slots, RouteCandidate{});
-  // Live-routing mode stores its per-slot candidate vectors here; UGAL mode
-  // needs them even with a table, because a spliced via-leg row is not a
-  // contiguous arena range.
-  if (table_ == nullptr || ugal_mode_) ivc_live_.resize(slots);
+  // Per-slot candidate storage for rows that are not a table arena range:
+  // live-routing rows and UGAL's spliced via-leg rows.
+  ivc_live_.resize(slots);
   ovc_busy_.assign(slots, 0);
   ovc_credits_.resize(slots);
   for (int r = 0; r < num_routers_; ++r) {
@@ -401,14 +400,8 @@ void SoaEngine::compute_route(int r, int port, int vc, std::size_t s) {
     const int in_vc = from_network ? vc : -1;
     if (ugal_mode_) {
       compute_route_ugal(r, s, in_port, in_vc, head.pkt, dest);
-    } else if (table_ != nullptr) {
-      const auto span = table_->lookup(r, in_port, in_vc, dest);
-      ivc_routes_[s] = span.data();
-      ivc_routes_len_[s] = static_cast<std::int32_t>(span.size());
     } else {
-      ivc_live_[s] = routing_->route(r, in_port, in_vc, dest);
-      ivc_routes_[s] = ivc_live_[s].data();
-      ivc_routes_len_[s] = static_cast<std::int32_t>(ivc_live_[s].size());
+      set_routes(s, row(r, in_port, in_vc, dest, ivc_live_[s]));
     }
     SHG_ASSERT(ivc_routes_len_[s] > 0, "routing returned no candidates");
   }
@@ -418,10 +411,8 @@ void SoaEngine::compute_route(int r, int port, int vc, std::size_t s) {
 }
 
 int SoaEngine::first_port(int r, int to) const {
-  if (table_ != nullptr) {
-    return table_->lookup(r, -1, -1, to).front().out_port;
-  }
-  return routing_->route(r, -1, -1, to).front().out_port;
+  std::vector<RouteCandidate> storage;
+  return row(r, -1, -1, to, storage).front().out_port;
 }
 
 int SoaEngine::adaptive_occupancy(int r, int port) const {
@@ -436,15 +427,9 @@ int SoaEngine::adaptive_occupancy(int r, int port) const {
 void SoaEngine::append_band(int r, int in_port, int in_vc, int to,
                             bool adaptive,
                             std::vector<RouteCandidate>& out) const {
-  if (table_ != nullptr) {
-    for (const RouteCandidate& cand : table_->lookup(r, in_port, in_vc, to)) {
-      if ((cand.vc_begin >= kUgalEscapeVcs) == adaptive) out.push_back(cand);
-    }
-  } else {
-    for (const RouteCandidate& cand :
-         routing_->route(r, in_port, in_vc, to)) {
-      if ((cand.vc_begin >= kUgalEscapeVcs) == adaptive) out.push_back(cand);
-    }
+  std::vector<RouteCandidate> storage;
+  for (const RouteCandidate& cand : row(r, in_port, in_vc, to, storage)) {
+    if ((cand.vc_begin >= kUgalEscapeVcs) == adaptive) out.push_back(cand);
   }
 }
 
@@ -485,22 +470,13 @@ void SoaEngine::compute_route_ugal(int r, std::size_t s, int in_port,
       spliced.clear();
       append_band(r, in_port, in_vc, via, /*adaptive=*/true, spliced);
       append_band(r, in_port, in_vc, dest, /*adaptive=*/false, spliced);
-      ivc_routes_[s] = spliced.data();
-      ivc_routes_len_[s] = static_cast<std::int32_t>(spliced.size());
+      set_routes(s, spliced);
       return;
     }
   }
   // Escape state or minimal/post-via adaptive state: the plain row toward
   // the destination.
-  if (table_ != nullptr) {
-    const auto span = table_->lookup(r, in_port, in_vc, dest);
-    ivc_routes_[s] = span.data();
-    ivc_routes_len_[s] = static_cast<std::int32_t>(span.size());
-  } else {
-    ivc_live_[s] = routing_->route(r, in_port, in_vc, dest);
-    ivc_routes_[s] = ivc_live_[s].data();
-    ivc_routes_len_[s] = static_cast<std::int32_t>(ivc_live_[s].size());
-  }
+  set_routes(s, row(r, in_port, in_vc, dest, ivc_live_[s]));
 }
 
 void SoaEngine::allocate(int r, Cycle now) {

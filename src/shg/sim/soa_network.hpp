@@ -36,6 +36,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -53,7 +54,8 @@ namespace shg::sim {
 /// owns topology/routing/table/process and constructs one engine per run.
 class SoaEngine {
  public:
-  /// `routing` may be null only when `table` is non-null (table mode);
+  /// `routing` may be null only when `table` is non-null (every decision is
+  /// then a table lookup);
   /// `process` must be non-null and is reset() by run().
   SoaEngine(const topo::Topology& topo, const std::vector<int>& link_latencies,
             const SimConfig& config, const TrafficPattern& pattern,
@@ -142,6 +144,21 @@ class SoaEngine {
   void ni_inject(int r, Cycle now);
   void allocate(int r, Cycle now);
   void compute_route(int r, int port, int vc, std::size_t s);
+  /// Candidate row for state (in_port, in_vc) toward `dest` at router r: a
+  /// table lookup, or a live route() call materialized into `storage`.
+  /// Inline, so the table path stays a pair of array reads in the hot loop.
+  std::span<const RouteCandidate> row(
+      int r, int in_port, int in_vc, int dest,
+      std::vector<RouteCandidate>& storage) const {
+    if (table_ != nullptr) return table_->lookup(r, in_port, in_vc, dest);
+    storage = routing_->route(r, in_port, in_vc, dest);
+    return storage;
+  }
+  /// Points slot s's candidate list at `routes`.
+  void set_routes(std::size_t s, std::span<const RouteCandidate> routes) {
+    ivc_routes_[s] = routes.data();
+    ivc_routes_len_[s] = static_cast<std::int32_t>(routes.size());
+  }
 
   /// UGAL-mode route computation (mirrors Router::compute_route_ugal):
   /// injection-time minimal/non-minimal decision, via-leg candidate splice,
@@ -209,7 +226,8 @@ class SoaEngine {
   std::vector<const RouteCandidate*> ivc_routes_;
   std::vector<std::int32_t> ivc_routes_len_;
   std::vector<RouteCandidate> ivc_eject_;  ///< per slot: ejection candidate
-  std::vector<std::vector<RouteCandidate>> ivc_live_;  ///< live-routing mode
+  /// Per slot: rows that are not table arena ranges (live, UGAL splice).
+  std::vector<std::vector<RouteCandidate>> ivc_live_;
 
   // Output-VC state (per slot) and rotating allocator priorities.
   std::vector<std::uint8_t> ovc_busy_;

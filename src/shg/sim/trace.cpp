@@ -367,10 +367,11 @@ Trace trace_from_spec(const TrafficSpec& spec, const TraceRecordOptions& opt) {
       opt.injection_rate / static_cast<double>(opt.packet_size_flits),
       num_tiles * ports);
 
-  // The engines' generation loop, draw for draw (simulator.cpp run_aos /
-  // soa_network.cpp pregenerate): cycle -> tile -> port, inject draw then
-  // destination draw, fixed points skipped after the draw. Recording this
-  // order is what makes the replay differential oracle exact.
+  // The engines' generation loop, draw for draw (simulator.cpp
+  // run_reference / soa_network.cpp pregenerate): cycle -> tile -> port,
+  // inject draw then destination draw, fixed points skipped after the
+  // draw. Recording this order is what makes the replay differential
+  // oracle exact.
   Prng rng(opt.seed);
   process->reset();
   std::vector<std::uint32_t> last_ts(trace.num_sources, 0);

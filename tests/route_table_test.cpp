@@ -1,8 +1,10 @@
 // Route-table correctness: the precomputed table must agree with the live
 // routing function on every reachable (node, in_port, in_vc, dest) state of
 // every topology family, and the simulator must produce bit-identical
-// results with the table on or off.
+// results with no table (live routing) and with a shared table.
 #include <gtest/gtest.h>
+
+#include <memory>
 
 #include "shg/sim/route_table.hpp"
 #include "shg/sim/simulator.hpp"
@@ -131,8 +133,8 @@ std::vector<int> unit_latencies(const topo::Topology& topo) {
 }
 
 /// The acceptance bar of the perf overhaul: latency distribution,
-/// throughput and every other statistic must be identical with the route
-/// table on or off.
+/// throughput and every other statistic must be identical with no table
+/// (live routing) and with a shared table verified against the routing.
 void expect_bit_identical_sim(const topo::Topology& topo) {
   SimConfig config;
   config.num_vcs = kVcs;
@@ -141,13 +143,16 @@ void expect_bit_identical_sim(const topo::Topology& topo) {
   config.measure_cycles = 900;
   const auto pattern = make_uniform(topo.num_tiles());
 
-  config.use_route_table = false;
-  const SimResult live =
-      Simulator(topo, unit_latencies(topo), config, *pattern, 1).run();
-  config.use_route_table = true;
-  config.verify_route_table = true;
-  const SimResult tabled =
-      Simulator(topo, unit_latencies(topo), config, *pattern, 1).run();
+  Simulator untabled(topo, unit_latencies(topo), config, *pattern, 1);
+  ASSERT_EQ(untabled.route_table(), nullptr);
+  const SimResult live = untabled.run();
+  const auto routing = make_policy_routing(topo, config);
+  const auto table =
+      std::make_shared<const RouteTable>(topo, *routing, config.num_vcs);
+  table->verify_against(*routing);
+  const SimResult tabled = Simulator(topo, unit_latencies(topo), config,
+                                     *pattern, 1, nullptr, table)
+                               .run();
 
   EXPECT_EQ(live.offered_rate, tabled.offered_rate);
   EXPECT_EQ(live.accepted_rate, tabled.accepted_rate);

@@ -1,10 +1,14 @@
 // Tests for the serving layer (src/shg/serve/): the minimal JSON parser,
-// the op dispatch of Service, protocol error handling, and the coalesced
-// screen path — each service result is checked against the direct library
-// call it must match byte for byte.
+// the op dispatch of Service, protocol error handling (including the
+// server's request-line cap), and the coalesced screen path — each service
+// result is checked against the direct library call it must match byte for
+// byte.
 #include <gtest/gtest.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "shg/common/error.hpp"
@@ -345,6 +349,66 @@ TEST(Service, ExperimentRoutingFieldSelectsUgalCampaign) {
       "{\"op\":\"experiment\",\"id\":2,\"routing\":\"adaptive\"}");
   EXPECT_FALSE(bad.valid);
   EXPECT_NE(bad.error.find("adaptive"), std::string::npos) << bad.error;
+}
+
+TEST(Server, OverlongLineIsRejectedAndServingContinues) {
+  // A 2 MiB line (twice the cap) and then a ping: the server answers the
+  // long line with one error, drops its bytes, and still serves the ping.
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  ServerOptions options;
+  options.workers = 1;
+  Server server(options);
+  std::thread serving([&] {
+    server.serve_stream(fds[1], fds[1]);
+    ::shutdown(fds[1], SHUT_WR);
+  });
+  std::thread client([&] {
+    const std::string input = std::string(2 * kMaxRequestLineBytes, 'x') +
+                              "\n{\"op\":\"ping\",\"id\":2}\n";
+    for (std::size_t done = 0; done < input.size();) {
+      const ssize_t n =
+          ::write(fds[0], input.data() + done, input.size() - done);
+      if (n <= 0) {
+        ADD_FAILURE() << "write to the server failed";
+        break;
+      }
+      done += static_cast<std::size_t>(n);
+    }
+    ::shutdown(fds[0], SHUT_WR);  // EOF ends the stream either way
+  });
+  std::string output;
+  char chunk[4096];
+  for (ssize_t n; (n = ::read(fds[0], chunk, sizeof(chunk))) > 0;) {
+    output.append(chunk, static_cast<std::size_t>(n));
+  }
+  client.join();
+  serving.join();
+  ::close(fds[0]);
+  ::close(fds[1]);
+
+  std::vector<std::string> lines;
+  for (std::size_t start = 0, nl; (nl = output.find('\n', start)) !=
+                                  std::string::npos;
+       start = nl + 1) {
+    lines.push_back(output.substr(start, nl - start));
+  }
+  ASSERT_EQ(lines.size(), 2u) << output;
+  int errors = 0;
+  int pings = 0;
+  for (const std::string& line : lines) {
+    if (line.find("\"ok\":false") != std::string::npos &&
+        line.find("request line exceeds 1048576 bytes") !=
+            std::string::npos) {
+      ++errors;
+    }
+    if (line.find("\"op\":\"ping\"") != std::string::npos &&
+        line.find("\"ok\":true") != std::string::npos) {
+      ++pings;
+    }
+  }
+  EXPECT_EQ(errors, 1) << output;
+  EXPECT_EQ(pings, 1) << output;
 }
 
 }  // namespace

@@ -3,8 +3,10 @@
 // even size up" guard — throughput ratios live in bench_sim_scale.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <vector>
 
+#include "shg/sim/route_table.hpp"
 #include "shg/sim/simulator.hpp"
 #include "shg/sim/traffic_spec.hpp"
 #include "shg/topo/generators.hpp"
@@ -26,9 +28,12 @@ TEST(SimScale, Mesh32x32UniformCompletes) {
   config.warmup_cycles = 500;
   config.measure_cycles = 1500;
   // The route table at 32x32 is large but affordable; live routing is
-  // covered by the 64x64 bench tier.
+  // covered by the test below and the 64x64 bench tier.
   const auto pattern = TrafficSpec::parse("uniform").make_pattern(32, 32);
-  Simulator simulator(topo, unit_latencies(topo), config, *pattern, 1);
+  const auto table = std::make_shared<const RouteTable>(
+      topo, *make_policy_routing(topo, config), config.num_vcs);
+  Simulator simulator(topo, unit_latencies(topo), config, *pattern, 1,
+                      nullptr, table);
   const SimResult result = simulator.run();
   EXPECT_TRUE(result.drained);
   EXPECT_GT(result.measured_packets, 5000);
@@ -47,7 +52,6 @@ TEST(SimScale, Mesh32x32LiveRoutingCompletes) {
   config.injection_rate = 0.02;
   config.warmup_cycles = 300;
   config.measure_cycles = 700;
-  config.use_route_table = false;
   const auto pattern = TrafficSpec::parse("uniform").make_pattern(32, 32);
   Simulator simulator(topo, unit_latencies(topo), config, *pattern, 1);
   const SimResult result = simulator.run();

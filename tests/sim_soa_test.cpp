@@ -1,14 +1,17 @@
 // Bit-identity oracle for the SoA simulation engine: every SimResult field
-// must equal the reference AoS path EXACTLY (==, not near) across topology
-// families, traffic patterns, injection processes, endpoint counts, link
-// latencies, routing modes (table and live) and concentration — plus the
+// of Simulator::run() must equal the reference AoS path (run_reference())
+// EXACTLY (==, not near) across topology families, traffic patterns,
+// injection processes, endpoint counts, link latencies, routing modes (no
+// table: live routing; a shared route table) and concentration — plus the
 // quiescence fast-forward regime (rates low enough that the network goes
 // fully idle between injections).
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <vector>
 
 #include "shg/sim/concentration.hpp"
+#include "shg/sim/route_table.hpp"
 #include "shg/sim/simulator.hpp"
 #include "shg/sim/trace.hpp"
 #include "shg/sim/traffic_spec.hpp"
@@ -33,11 +36,37 @@ std::vector<int> unit_latencies(const topo::Topology& topo) {
                           1);
 }
 
-/// Runs the same simulation on both engines and requires exact equality of
-/// every SimResult field. `spec_text` drives pattern AND process through
-/// the TrafficSpec path (the experiment engine's shape).
+/// The table a campaign would share across every run on `topo`.
+std::shared_ptr<const RouteTable> shared_table(const topo::Topology& topo,
+                                               const SimConfig& config) {
+  return std::make_shared<const RouteTable>(
+      topo, *make_policy_routing(topo, config), config.num_vcs);
+}
+
+/// Exact equality of every SimResult field, reported field by field.
+void expect_same(const SimResult& a, const SimResult& b,
+                 const std::string& what) {
+  EXPECT_EQ(a.cycles_run, b.cycles_run) << what;
+  EXPECT_EQ(a.measured_packets, b.measured_packets) << what;
+  EXPECT_EQ(a.drained, b.drained) << what;
+  EXPECT_EQ(a.offered_rate, b.offered_rate) << what;
+  EXPECT_EQ(a.accepted_rate, b.accepted_rate) << what;
+  EXPECT_EQ(a.avg_packet_latency, b.avg_packet_latency) << what;
+  EXPECT_EQ(a.max_packet_latency, b.max_packet_latency) << what;
+  EXPECT_EQ(a.p50_packet_latency, b.p50_packet_latency) << what;
+  EXPECT_EQ(a.p95_packet_latency, b.p95_packet_latency) << what;
+  EXPECT_EQ(a.p99_packet_latency, b.p99_packet_latency) << what;
+  EXPECT_EQ(a.avg_hops, b.avg_hops) << what;
+  EXPECT_EQ(a.fairness, b.fairness) << what;
+}
+
+/// Runs the same simulation on both engines, routing live and from a shared
+/// table, and requires exact equality of every SimResult field across all
+/// four. `spec_text` drives pattern AND process through the TrafficSpec
+/// path (the experiment engine's shape).
 void expect_bit_identical(const topo::Topology& topo,
-                          const std::vector<int>& latencies, SimConfig config,
+                          const std::vector<int>& latencies,
+                          const SimConfig& config,
                           const std::string& spec_text,
                           int endpoints_per_tile) {
   const TrafficSpec spec = TrafficSpec::parse(spec_text);
@@ -51,30 +80,17 @@ void expect_bit_identical(const topo::Topology& topo,
   const double packet_prob =
       config.injection_rate / static_cast<double>(config.packet_size_flits);
 
-  config.use_soa_engine = false;
-  Simulator aos(topo, latencies, config, *pattern, endpoints_per_tile,
-                nullptr, nullptr,
-                spec.make_process(packet_prob, topo.num_tiles() * ports));
-  const SimResult a = aos.run();
+  Simulator live(topo, latencies, config, *pattern, endpoints_per_tile,
+                 nullptr, nullptr,
+                 spec.make_process(packet_prob, topo.num_tiles() * ports));
+  const SimResult s = live.run();
+  expect_same(live.run_reference(), s, spec_text + " [reference, live]");
 
-  config.use_soa_engine = true;
-  Simulator soa(topo, latencies, config, *pattern, endpoints_per_tile,
-                nullptr, nullptr,
-                spec.make_process(packet_prob, topo.num_tiles() * ports));
-  const SimResult s = soa.run();
-
-  EXPECT_EQ(a.cycles_run, s.cycles_run) << spec_text;
-  EXPECT_EQ(a.measured_packets, s.measured_packets) << spec_text;
-  EXPECT_EQ(a.drained, s.drained) << spec_text;
-  EXPECT_EQ(a.offered_rate, s.offered_rate) << spec_text;
-  EXPECT_EQ(a.accepted_rate, s.accepted_rate) << spec_text;
-  EXPECT_EQ(a.avg_packet_latency, s.avg_packet_latency) << spec_text;
-  EXPECT_EQ(a.max_packet_latency, s.max_packet_latency) << spec_text;
-  EXPECT_EQ(a.p50_packet_latency, s.p50_packet_latency) << spec_text;
-  EXPECT_EQ(a.p95_packet_latency, s.p95_packet_latency) << spec_text;
-  EXPECT_EQ(a.p99_packet_latency, s.p99_packet_latency) << spec_text;
-  EXPECT_EQ(a.avg_hops, s.avg_hops) << spec_text;
-  EXPECT_EQ(a.fairness, s.fairness) << spec_text;
+  Simulator tabled(topo, latencies, config, *pattern, endpoints_per_tile,
+                   nullptr, shared_table(topo, config),
+                   spec.make_process(packet_prob, topo.num_tiles() * ports));
+  expect_same(tabled.run(), s, spec_text + " [soa, table]");
+  expect_same(tabled.run_reference(), s, spec_text + " [reference, table]");
   // The run must have done real work, or the comparison proves nothing.
   EXPECT_GT(s.measured_packets, 0) << spec_text;
 }
@@ -143,12 +159,11 @@ TEST(SoaBitIdentity, NonUnitLinkLatenciesAndDeeperBuffers) {
 }
 
 TEST(SoaBitIdentity, LiveRoutingWithoutTable) {
-  // No route table: the SoA engine calls the routing function per head
-  // flit, exactly like the reference router's live mode.
+  // An odd-sized mesh, where XY routing's row and column legs differ in
+  // length from every square family above; live and table routing agree.
   const auto topo = topo::make_mesh(5, 5);
   SimConfig config = fast_config();
   config.injection_rate = 0.05;
-  config.use_route_table = false;
   expect_bit_identical(topo, unit_latencies(topo), config, "uniform", 1);
 }
 
@@ -203,21 +218,15 @@ TEST(SoaBitIdentity, ZeroTrafficRun) {
   config.measure_cycles = 100;
   const TrafficSpec spec = TrafficSpec::parse("uniform");
   const auto pattern = spec.make_pattern(3, 3);
-  config.use_soa_engine = false;
-  Simulator aos(topo, unit_latencies(topo), config, *pattern, 1);
-  const SimResult a = aos.run();
-  config.use_soa_engine = true;
-  Simulator soa(topo, unit_latencies(topo), config, *pattern, 1);
-  const SimResult s = soa.run();
-  EXPECT_EQ(a.cycles_run, s.cycles_run);
-  EXPECT_EQ(a.measured_packets, s.measured_packets);
-  EXPECT_EQ(a.drained, s.drained);
+  Simulator simulator(topo, unit_latencies(topo), config, *pattern, 1);
+  expect_same(simulator.run_reference(), simulator.run(), "zero traffic");
 }
 
 /// Replays `trace` on both engines and requires exact SimResult equality —
 /// trace injection must preserve the engine-identity contract exactly like
 /// the synthetic processes do.
-void expect_trace_bit_identical(const topo::Topology& topo, SimConfig config,
+void expect_trace_bit_identical(const topo::Topology& topo,
+                                const SimConfig& config,
                                 const Trace& trace,
                                 const std::string& what) {
   const auto shared = std::make_shared<const Trace>(trace);
@@ -226,30 +235,13 @@ void expect_trace_bit_identical(const topo::Topology& topo, SimConfig config,
                                    : topo.num_tiles();
   const int num_terminals = num_sources;
 
-  SimResult results[2];
-  for (const bool soa : {false, true}) {
-    config.use_soa_engine = soa;
-    TraceWorkload workload = make_trace_replay(shared, num_sources,
-                                               num_terminals,
-                                               config.packet_size_flits);
-    Simulator simulator(topo, unit_latencies(topo), config,
-                        *workload.pattern, 1, nullptr, nullptr,
-                        std::move(workload.process));
-    results[soa ? 1 : 0] = simulator.run();
-  }
-  const SimResult& a = results[0];
-  const SimResult& s = results[1];
-  EXPECT_EQ(a.cycles_run, s.cycles_run) << what;
-  EXPECT_EQ(a.measured_packets, s.measured_packets) << what;
-  EXPECT_EQ(a.drained, s.drained) << what;
-  EXPECT_EQ(a.accepted_rate, s.accepted_rate) << what;
-  EXPECT_EQ(a.avg_packet_latency, s.avg_packet_latency) << what;
-  EXPECT_EQ(a.max_packet_latency, s.max_packet_latency) << what;
-  EXPECT_EQ(a.p50_packet_latency, s.p50_packet_latency) << what;
-  EXPECT_EQ(a.p95_packet_latency, s.p95_packet_latency) << what;
-  EXPECT_EQ(a.p99_packet_latency, s.p99_packet_latency) << what;
-  EXPECT_EQ(a.avg_hops, s.avg_hops) << what;
-  EXPECT_EQ(a.fairness, s.fairness) << what;
+  TraceWorkload workload = make_trace_replay(shared, num_sources,
+                                             num_terminals,
+                                             config.packet_size_flits);
+  Simulator simulator(topo, unit_latencies(topo), config, *workload.pattern,
+                      1, nullptr, nullptr, std::move(workload.process));
+  const SimResult s = simulator.run();
+  expect_same(simulator.run_reference(), s, what);
   EXPECT_GT(s.measured_packets, 0) << what;
 }
 
@@ -349,6 +341,46 @@ TEST(SoaBitIdentity, TraceDrainsToQuiescenceMidRun) {
   }
   expect_trace_bit_identical(topo::make_mesh(4, 4), config, trace,
                              "quiescent gaps");
+}
+
+TEST(SimulatorRouting, NoTableMeansLiveRoutingWithIdenticalResults) {
+  // The routing rule: a Simulator given no table builds none and routes
+  // live; its run() equals a shared-table run and run_reference() bit for
+  // bit, under both routing policies (UGAL reads its decisions from the
+  // live routing function's sidecar instead of the table's).
+  const topo::Topology topos[] = {
+      topo::make_mesh(4, 4),
+      topo::make_torus(4, 4),
+      topo::make_sparse_hamming(4, 4, {2}, {2, 3}),
+      topo::make_slim_noc(4, 8),
+  };
+  for (const RoutingPolicy policy :
+       {RoutingPolicy::kMinimal, RoutingPolicy::kUgal}) {
+    for (const auto& topo : topos) {
+      const std::string what =
+          topo.name() + " / " + routing_policy_name(policy);
+      SimConfig config = fast_config();
+      config.num_vcs = 4;  // the UGAL floor, so both policies share it
+      config.injection_rate = 0.12;
+      config.routing_policy = policy;
+      const auto pattern = make_uniform(topo.num_tiles());
+
+      Simulator live(topo, unit_latencies(topo), config, *pattern, 1);
+      EXPECT_EQ(live.route_table(), nullptr) << what;
+      const auto table = shared_table(topo, config);
+      Simulator tabled(topo, unit_latencies(topo), config, *pattern, 1,
+                       nullptr, table);
+      EXPECT_EQ(tabled.route_table(), table.get()) << what;
+
+      const SimResult s = live.run();
+      const long long nonminimal = live.ugal_nonminimal_choices();
+      expect_same(tabled.run(), s, what + " [table]");
+      EXPECT_EQ(tabled.ugal_nonminimal_choices(), nonminimal) << what;
+      expect_same(live.run_reference(), s, what + " [reference]");
+      EXPECT_EQ(live.ugal_nonminimal_choices(), nonminimal) << what;
+      EXPECT_GT(s.measured_packets, 0) << what;
+    }
+  }
 }
 
 TEST(Concentration, TerminalMappingRoundTrips) {

@@ -2,10 +2,12 @@
 // of the routing function, the min-VC construction guard, the
 // always-minimal sentinel differential oracle (SimConfig::routing_policy =
 // kUgal with ugal_bias_flits = kUgalBiasAlwaysMinimal must be bit-identical
-// to kMinimal), AoS/SoA engine bit-identity under live UGAL decisions, and
-// saturation soak drains across every topology family.
+// to kMinimal), SoA/reference engine bit-identity under live UGAL decisions
+// (routing live and from a shared route table), and saturation soak drains
+// across every topology family.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <queue>
 #include <set>
 #include <string>
@@ -44,33 +46,56 @@ struct RunOutcome {
   long long nonminimal = 0;
 };
 
-RunOutcome run_once(const topo::Topology& topo, SimConfig config,
-                    const std::string& spec_text, bool soa) {
-  config.use_soa_engine = soa;
+/// The table a campaign would share across every run on `topo`.
+std::shared_ptr<const RouteTable> shared_table(const topo::Topology& topo,
+                                               const SimConfig& config) {
+  return std::make_shared<const RouteTable>(
+      topo, *make_policy_routing(topo, config), config.num_vcs);
+}
+
+/// One run on the SoA engine, or on the reference engine when `reference`;
+/// from `table` when given, otherwise routing live.
+RunOutcome run_once(const topo::Topology& topo, const SimConfig& config,
+                    const std::string& spec_text, bool reference,
+                    std::shared_ptr<const RouteTable> table = nullptr) {
   const TrafficSpec spec = TrafficSpec::parse(spec_text);
   const auto pattern =
       spec.make_pattern(topo.rows(), topo.cols(), topo.concentration());
-  Simulator sim(topo, unit_latencies(topo), config, *pattern, 1);
+  Simulator sim(topo, unit_latencies(topo), config, *pattern, 1, nullptr,
+                std::move(table));
   RunOutcome out;
-  out.result = sim.run();
+  out.result = reference ? sim.run_reference() : sim.run();
   out.nonminimal = sim.ugal_nonminimal_choices();
   return out;
 }
 
-/// Both engines must agree on every SimResult field AND on the number of
-/// non-minimal decisions (the decision inputs are engine-independent by
-/// construction; this is the oracle that keeps them so).
+/// Both engines, routing live and from a shared table, must agree on every
+/// SimResult field AND on the number of non-minimal decisions (the decision
+/// inputs are engine-independent by construction; this is the oracle that
+/// keeps them so).
 RunOutcome expect_engines_identical(const topo::Topology& topo,
                                     const SimConfig& config,
                                     const std::string& spec_text) {
-  const RunOutcome aos = run_once(topo, config, spec_text, false);
-  const RunOutcome soa = run_once(topo, config, spec_text, true);
-  EXPECT_TRUE(aos.result == soa.result)
-      << topo.name() << " / " << spec_text << ": cycles " << aos.result.cycles_run
-      << " vs " << soa.result.cycles_run << ", latency "
-      << aos.result.avg_packet_latency << " vs " << soa.result.avg_packet_latency;
-  EXPECT_EQ(aos.nonminimal, soa.nonminimal) << topo.name() << " / " << spec_text;
-  EXPECT_GT(soa.result.measured_packets, 0) << topo.name() << " / " << spec_text;
+  const auto table = shared_table(topo, config);
+  const RunOutcome soa = run_once(topo, config, spec_text, false);
+  for (const bool reference : {false, true}) {
+    for (const bool tabled : {false, true}) {
+      if (!reference && !tabled) continue;  // `soa` itself
+      const RunOutcome other = run_once(topo, config, spec_text, reference,
+                                        tabled ? table : nullptr);
+      const std::string what = topo.name() + " / " + spec_text +
+                               (reference ? " reference" : " soa") +
+                               (tabled ? " table" : " live");
+      EXPECT_TRUE(other.result == soa.result)
+          << what << ": cycles " << other.result.cycles_run << " vs "
+          << soa.result.cycles_run << ", latency "
+          << other.result.avg_packet_latency << " vs "
+          << soa.result.avg_packet_latency;
+      EXPECT_EQ(other.nonminimal, soa.nonminimal) << what;
+    }
+  }
+  EXPECT_GT(soa.result.measured_packets, 0)
+      << topo.name() << " / " << spec_text;
   return soa;
 }
 
@@ -362,22 +387,27 @@ TEST(UgalSentinel, AlwaysMinimalBiasIsBitIdenticalToMinimalPolicy) {
   // engines, in table and live-routing mode.
   for (const auto& topo : {topo::make_mesh(4, 4), topo::make_torus(4, 4)}) {
     for (const char* spec : {"uniform", "transpose"}) {
-      for (const bool soa : {false, true}) {
+      for (const bool reference : {false, true}) {
         for (const bool table : {true, false}) {
           SCOPED_TRACE(std::string(topo.name()) + " / " + spec +
-                       (soa ? " soa" : " aos") +
+                       (reference ? " reference" : " soa") +
                        (table ? " table" : " live"));
           SimConfig minimal;
           minimal.num_vcs = kVcs;
           minimal.injection_rate = 0.15;
           minimal.warmup_cycles = 200;
           minimal.measure_cycles = 500;
-          minimal.use_route_table = table;
           SimConfig sentinel = minimal;
           sentinel.routing_policy = RoutingPolicy::kUgal;
           sentinel.ugal_bias_flits = SimConfig::kUgalBiasAlwaysMinimal;
-          const RunOutcome a = run_once(topo, minimal, spec, soa);
-          const RunOutcome b = run_once(topo, sentinel, spec, soa);
+          // The sentinel resolves to the minimal policy, so it takes the
+          // minimal table (a ugal table would fail the policy check).
+          const auto shared =
+              table ? shared_table(topo, minimal) : nullptr;
+          const RunOutcome a = run_once(topo, minimal, spec, reference,
+                                        shared);
+          const RunOutcome b = run_once(topo, sentinel, spec, reference,
+                                        shared);
           EXPECT_TRUE(a.result == b.result);
           EXPECT_EQ(a.nonminimal, 0);
           EXPECT_EQ(b.nonminimal, 0);
@@ -419,12 +449,13 @@ TEST(UgalBitIdentity, FamiliesAndPatterns) {
 }
 
 TEST(UgalBitIdentity, SaturatedAdversarialAndLiveRouting) {
+  // Saturation under two adversarial workloads, each on both engines with
+  // live and table routing.
   const auto topo = topo::make_mesh(4, 4);
   SimConfig config = ugal_config();
   config.injection_rate = 0.5;
   config.drain_cycles = 40000;
   expect_engines_identical(topo, config, "transpose");
-  config.use_route_table = false;  // live routing on both engines
   expect_engines_identical(topo, config, "hotspot:0,15:0.5");
 }
 
@@ -446,8 +477,8 @@ TEST(UgalDeterminism, RepeatedRunsAndParallelCampaignsAreByteIdentical) {
   const auto topo = topo::make_mesh(4, 4);
   SimConfig config = ugal_config();
   config.injection_rate = 0.3;
-  const RunOutcome once = run_once(topo, config, "randperm:3", true);
-  const RunOutcome twice = run_once(topo, config, "randperm:3", true);
+  const RunOutcome once = run_once(topo, config, "randperm:3", false);
+  const RunOutcome twice = run_once(topo, config, "randperm:3", false);
   EXPECT_TRUE(once.result == twice.result);
   EXPECT_EQ(once.nonminimal, twice.nonminimal);
 
@@ -484,7 +515,7 @@ TEST(UgalSoak, SaturationPermutationsDrainEveryFamilyBothPolicies) {
         config.injection_rate = 0.45;
         config.warmup_cycles = 150;
         config.measure_cycles = 350;
-        const RunOutcome out = run_once(topo, config, spec, true);
+        const RunOutcome out = run_once(topo, config, spec, false);
         EXPECT_TRUE(out.result.drained);
         EXPECT_GT(out.result.measured_packets, 0);
       }

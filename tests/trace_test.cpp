@@ -387,9 +387,10 @@ void expect_same_result(const SimResult& a, const SimResult& b,
 /// Live run vs. trace_from_spec + replay, on one engine. The recorded
 /// trace reproduces the live generation schedule exactly, so every
 /// SimResult field must match bit for bit.
-void expect_replay_matches_live(const topo::Topology& topo, SimConfig config,
-                                const std::string& spec_text, bool use_soa) {
-  config.use_soa_engine = use_soa;
+void expect_replay_matches_live(const topo::Topology& topo,
+                                const SimConfig& config,
+                                const std::string& spec_text,
+                                bool reference) {
   const TrafficSpec spec = TrafficSpec::parse(spec_text);
   const int conc = topo.concentration();
   const int ports = conc > 1 ? conc : 1;
@@ -400,7 +401,8 @@ void expect_replay_matches_live(const topo::Topology& topo, SimConfig config,
   Simulator live(topo, unit_latencies(topo), config, *pattern, 1, nullptr,
                  nullptr,
                  spec.make_process(packet_prob, topo.num_tiles() * ports));
-  const SimResult live_result = live.run();
+  const SimResult live_result =
+      reference ? live.run_reference() : live.run();
 
   TraceRecordOptions opt;
   opt.rows = topo.rows();
@@ -420,10 +422,11 @@ void expect_replay_matches_live(const topo::Topology& topo, SimConfig config,
       config.packet_size_flits);
   Simulator replay(topo, unit_latencies(topo), config, *workload.pattern, 1,
                    nullptr, nullptr, std::move(workload.process));
-  const SimResult replay_result = replay.run();
+  const SimResult replay_result =
+      reference ? replay.run_reference() : replay.run();
 
   expect_same_result(live_result, replay_result,
-                     spec_text + (use_soa ? " [soa]" : " [aos]"));
+                     spec_text + (reference ? " [reference]" : " [soa]"));
 }
 
 TEST(TraceDifferential, ReplayBitIdenticalToLiveRun) {
@@ -433,9 +436,9 @@ TEST(TraceDifferential, ReplayBitIdenticalToLiveRun) {
   for (const char* spec :
        {"uniform", "hotspot:0,5:0.4", "transpose/onoff:0.1,0.3",
         "randperm:7"}) {
-    for (const bool soa : {false, true}) {
+    for (const bool reference : {true, false}) {
       SCOPED_TRACE(spec);
-      expect_replay_matches_live(topo, config, spec, soa);
+      expect_replay_matches_live(topo, config, spec, reference);
     }
   }
 }
@@ -444,8 +447,8 @@ TEST(TraceDifferential, ReplayBitIdenticalOnConcentratedFabric) {
   const auto topo = topo::make_concentrated_mesh(4, 4, 4);
   SimConfig config = fast_config();
   config.injection_rate = 0.03;
-  for (const bool soa : {false, true}) {
-    expect_replay_matches_live(topo, config, "hotspot:0,9:0.4", soa);
+  for (const bool reference : {true, false}) {
+    expect_replay_matches_live(topo, config, "hotspot:0,9:0.4", reference);
   }
 }
 
