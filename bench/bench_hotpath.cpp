@@ -4,7 +4,8 @@
 //
 // Measurements on a 10x10 KNC-class fabric:
 //  1. route_lookup — precomputed RouteTable::lookup vs a live virtual
-//     RoutingFunction::route() call (which allocates a vector per call);
+//     RoutingFunction::route() call writing into one reused scratch span
+//     (allocation-free, as the simulator's live-routing path calls it);
 //  2. fused_bfs    — fused distance_summary (one all-pairs sweep, reused
 //     workspace) vs the pre-PR metric path (average_hops + diameter, each
 //     its own allocating sweep plus a connectivity probe);
@@ -233,12 +234,13 @@ BenchResult bench_route_lookup(bool smoke) {
   result.note = std::to_string(states.size()) + " states x " +
                 std::to_string(reps) + " reps";
 
+  std::vector<sim::RouteCandidate> scratch(routing->max_candidates());
   auto t0 = Clock::now();
   long long sink = 0;
   for (int r = 0; r < reps; ++r) {
     for (const State& s : states) {
-      const auto cands = routing->route(s.node, s.in_port, s.in_vc, s.dest);
-      sink += cands.front().out_port;
+      routing->route(s.node, s.in_port, s.in_vc, s.dest, scratch);
+      sink += scratch.front().out_port;
     }
   }
   result.old_seconds = seconds_since(t0);

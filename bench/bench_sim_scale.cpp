@@ -4,8 +4,9 @@
 //
 // Grid: {10x10, 32x32, 64x64} meshes x {uniform, hotspot, onoff}. The two
 // small tiers run BOTH engines (Simulator::run and run_reference) from one
-// shared route table per tier, built outside every timer, and report
-// flits/sec each; 64x64 runs the SoA engine only with live routing (the
+// shared route table per tier and report flits/sec each. The table build
+// has its own timer (table_build_s), outside the run timers; every row also
+// reports table_build_s + the SoA run as its end-to-end time. 64x64 runs the SoA engine only with live routing (the
 // all-pairs route table is the scaling wall there — building it would
 // dwarf the simulation), proving the size-up the overhaul exists for. A
 // concentrated 16x16 c=4 row (same 1024 terminals as the 32x32 mesh on a
@@ -70,6 +71,7 @@ struct Row {
   bool dual_engine = false;  ///< AoS side ran too (aos/speedup meaningful)
   double aos_seconds = 0.0;  ///< only meaningful when dual_engine
   double soa_seconds = 0.0;
+  double table_build_s = 0.0;  ///< the tier's route table (0 when live)
   long long flits = 0;  ///< measured flits (identical across engines)
   bool drained = false;
   bool identical = true;  ///< vacuously true when only one engine ran
@@ -83,6 +85,8 @@ struct Row {
     return soa_seconds > 0.0 ? static_cast<double>(flits) / soa_seconds
                              : 0.0;
   }
+  /// What one table-backed SoA run of this row costs from scratch.
+  double end_to_end_s() const { return table_build_s + soa_seconds; }
 };
 
 void print_row(const Row& r) {
@@ -98,9 +102,9 @@ void print_row(const Row& r) {
     std::snprintf(speedup, sizeof(speedup), "    --");
   }
   std::printf("%-14s %-22s  %s  soa %8.3f s  %s  "
-              "%10.0f flits/s  %s%s\n",
+              "%10.0f flits/s  table+soa %8.3f s  %s%s\n",
               r.fabric.c_str(), r.workload.c_str(), aos, r.soa_seconds,
-              speedup, r.soa_flits_per_sec(),
+              speedup, r.soa_flits_per_sec(), r.end_to_end_s(),
               r.drained ? "drained" : "UNDRAINED",
               r.identical ? "" : "  NOT IDENTICAL");
 }
@@ -125,10 +129,11 @@ sim::SimConfig tier_config(const Tier& tier, bool smoke) {
   return config;
 }
 
-/// `table` is the tier's shared route table, or null to route live.
+/// `table` is the tier's shared route table, or null to route live;
+/// `table_build_s` is what building it took.
 Row run_tier(const Tier& tier,
              const std::shared_ptr<const sim::RouteTable>& table,
-             const std::string& workload, bool smoke) {
+             double table_build_s, const std::string& workload, bool smoke) {
   const sim::TrafficSpec spec = sim::TrafficSpec::parse(workload);
   const auto pattern =
       spec.make_pattern(tier.topo.rows(), tier.topo.cols(),
@@ -147,6 +152,7 @@ Row run_tier(const Tier& tier,
   row.fabric = tier.fabric;
   row.workload = workload;
   row.dual_engine = tier.both_engines;
+  row.table_build_s = table_build_s;
 
   sim::SimResult soa_result;
   row.soa_seconds = std::numeric_limits<double>::infinity();
@@ -230,7 +236,8 @@ double run_saturated(const topo::Topology& topo, sim::RoutingPolicy policy,
 void append_json(std::string& json, const Row& r) {
   // Schema v2: single-engine rows carry null aos_seconds/speedup (v1 wrote
   // misleading 0.000000 / 0.000 there); `dual_engine` makes the distinction
-  // explicit for consumers.
+  // explicit for consumers. Schema v4 adds table_build_s and end_to_end_s
+  // (table_build_s + soa_seconds; table_build_s is 0 on live-routing rows).
   char engine_fields[80];
   if (r.dual_engine) {
     std::snprintf(engine_fields, sizeof(engine_fields),
@@ -240,16 +247,18 @@ void append_json(std::string& json, const Row& r) {
     std::snprintf(engine_fields, sizeof(engine_fields),
                   "\"aos_seconds\": null, \"speedup\": null");
   }
-  char buf[512];
+  char buf[640];
   std::snprintf(
       buf, sizeof(buf),
       "    {\"fabric\": \"%s\", \"workload\": \"%s\", "
       "\"dual_engine\": %s, %s, \"soa_seconds\": %.6f, "
+      "\"table_build_s\": %.6f, \"end_to_end_s\": %.6f, "
       "\"soa_flits_per_sec\": %.0f, \"flits\": %lld, \"drained\": %s, "
       "\"identical\": %s}",
       r.fabric.c_str(), r.workload.c_str(),
       r.dual_engine ? "true" : "false", engine_fields, r.soa_seconds,
-      r.soa_flits_per_sec(), r.flits, r.drained ? "true" : "false",
+      r.table_build_s, r.end_to_end_s(), r.soa_flits_per_sec(), r.flits,
+      r.drained ? "true" : "false",
       r.identical ? "true" : "false");
   if (!json.empty()) json += ",\n";
   json += buf;
@@ -306,18 +315,23 @@ int main(int argc, char** argv) {
   bool scale_drained = true;
   double gate_speedup = 0.0;
   for (const Tier& tier : tiers) {
-    // One route table per tier, built outside every timer: the table is a
-    // per-topology artifact sweeps amortize.
+    // One route table per tier, timed on its own (routing-function
+    // construction included) and outside the run timers: the table is a
+    // per-topology artifact sweeps amortize, reported per row next to the
+    // run it serves.
     std::shared_ptr<const sim::RouteTable> table;
+    double table_build_s = 0.0;
     if (tier.use_table) {
       const sim::SimConfig config = tier_config(tier, smoke);
+      const auto t0 = Clock::now();
       table = std::make_shared<const sim::RouteTable>(
           tier.topo, *sim::make_policy_routing(tier.topo, config),
           config.num_vcs);
+      table_build_s = seconds_since(t0);
     }
     for (const std::string& workload :
          workloads(tier.topo.num_tiles() * tier.topo.concentration())) {
-      rows.push_back(run_tier(tier, table, workload, smoke));
+      rows.push_back(run_tier(tier, table, table_build_s, workload, smoke));
       print_row(rows.back());
       const Row& r = rows.back();
       all_identical = all_identical && r.identical;
@@ -387,7 +401,7 @@ int main(int argc, char** argv) {
     sat_entries += buf;
   }
   std::ofstream out(out_path);
-  out << "{\n  \"schema\": \"shg.bench_sim_scale.v3\",\n"
+  out << "{\n  \"schema\": \"shg.bench_sim_scale.v4\",\n"
       << "  \"smoke\": " << (smoke ? "true" : "false") << ",\n"
       << "  \"all_identical\": " << (all_identical ? "true" : "false")
       << ",\n"

@@ -185,8 +185,8 @@ struct CellEngine {
     num_seeds = seeds.size();
 
     // Per-topology setup: unit link latencies where unspecified, and one
-    // shared route table per topology — built in parallel, each used
-    // read-only by every run on that topology afterwards.
+    // shared route table per topology, used read-only by every run on that
+    // topology afterwards.
     latencies.resize(num_topos);
     tables.resize(num_topos);
     for (std::size_t t = 0; t < num_topos; ++t) {
@@ -199,8 +199,10 @@ struct CellEngine {
                          : tc.link_latencies;
     }
     // With a session attached, tables hit its artifact tier across
-    // run_experiment calls; only the misses are built (in parallel, as
-    // before) and stored back. Session traffic stays on this thread.
+    // run_experiment calls; only the misses are built and stored back.
+    // Session traffic stays on this thread. The misses build one after
+    // another: each RouteTable build fans out over the workers itself, and
+    // parallel_for must not nest inside parallel_for.
     std::vector<std::size_t> to_build;
     std::vector<customize::Fingerprint> table_keys(num_topos);
     for (std::size_t t = 0; t < num_topos; ++t) {
@@ -216,11 +218,10 @@ struct CellEngine {
       }
       to_build.push_back(t);
     }
-    parallel_for(to_build.size(), [&](std::size_t i) {
-      const std::size_t t = to_build[i];
+    for (const std::size_t t : to_build) {
       tables[t] =
           make_shared_route_table(spec.topologies[t].topology, spec.config);
-    });
+    }
     if (spec.session != nullptr) {
       for (std::size_t t : to_build) {
         spec.session->store_artifact(table_keys[t], tables[t]);

@@ -1,12 +1,11 @@
 // Precomputed routing tables: the simulator's head-flit hot path.
 //
-// RoutingFunction::route() returns a freshly allocated std::vector per call;
-// the router used to invoke it for every head flit reaching the front of a
-// VC, i.e. once per packet per hop per cycle of contention. A RouteTable
-// evaluates the routing function ONCE for every reachable routing state at
-// simulator construction and stores the candidate lists in a flat CSR-style
-// arena; lookups are two array reads and return a span into the arena — no
-// virtual call, no allocation.
+// A live RoutingFunction::route() call is a virtual call that recomputes the
+// candidate list per head flit, i.e. once per packet per hop. A RouteTable
+// evaluates the routing function ONCE for every reachable routing state and
+// stores the candidate lists in a flat CSR-style arena; lookups are two
+// array reads and return a span into the arena — no virtual call, no
+// allocation.
 //
 // State space. The router queries routing in exactly two shapes:
 //  * injection: (node, in_port = -1, in_vc = -1, dest) — fresh local packet;
@@ -31,16 +30,31 @@
 // the row-index indirection, so the arena and offsets shrink by roughly the
 // VC count while every lookup stays an O(1) pair of array reads. All empty
 // rows (ejection states, states the routing function rejects) collapse
-// into a single empty unique row. Candidate order within a list is
+// into a single empty unique row. Unique rows are numbered in order of
+// first appearance in row order. Candidate order within a list is
 // preserved from the routing function (the VC allocator tries candidates
 // front to back), so simulation results are bit-identical with a table or
 // without one, deduplicated or not.
+//
+// Build. Rows are visited in node-major, slot, dest order. The nodes are
+// split into contiguous ranges of at least kBuildGrainRows rows each, built
+// under parallel_for: every range routes its states into one reused scratch
+// span and hash-conses its own rows, writing range-local ids straight into
+// row_ids_. A merge, serialized under a mutex, numbers the ranges' unique
+// rows globally in range order — which is first-appearance order — as soon
+// as each range's predecessors are in, and a parallel pass then remaps
+// row_ids_ in place (no second row buffer). The three arrays are
+// byte-identical to a serial single-pass build for any worker count.
+// Tables below two grains (every 8x8 fabric) are one range and build on the
+// calling thread. A build fans out by itself, so callers build tables one
+// after another rather than inside another parallel_for.
 //
 // Equivalence checking: verify_against() re-derives every row from a live
 // routing function and throws on the first mismatch. The simulator never
 // runs it; a caller that wants the proof calls it on the table it passes.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -52,6 +66,11 @@ namespace shg::sim {
 
 class RouteTable {
  public:
+  /// Minimum rows per parallel build task (a constant, not an option): an
+  /// 8x8 table — at most 64 * (1 + 14 * 4) * 64 = 233,472 rows for a
+  /// flattened butterfly at 4 VCs — is a single task on the calling thread.
+  static constexpr std::size_t kBuildGrainRows = std::size_t{1} << 18;
+
   /// Builds the full table by exhaustively querying `routing`. The routing
   /// function must be total over the state space described above.
   RouteTable(const topo::Topology& topo, const RoutingFunction& routing,
@@ -132,6 +151,15 @@ class RouteTable {
   void verify_against(const RoutingFunction& routing) const;
 
  private:
+  /// Node boundaries of the build tasks: ranges [b[k], b[k + 1]) of at
+  /// least kBuildGrainRows rows each (the last range absorbs the rest).
+  std::vector<int> node_ranges() const;
+
+  /// Calls fn(node, in_port, in_vc, dest, row) for every state of the nodes
+  /// in [first_node, last_node), in row order (node-major, slot, dest).
+  template <typename Fn>
+  void for_each_state(int first_node, int last_node, Fn&& fn) const;
+
   std::size_t index_bytes() const {
     return slot_base_.size() * sizeof(std::size_t) +
            degree_.size() * sizeof(int);

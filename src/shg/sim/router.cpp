@@ -51,6 +51,7 @@ Router::Router(int node, int num_net_ports, int num_local_ports,
   sa_out_rr_.assign(static_cast<std::size_t>(ports), 0);
   sa_request_port_.assign(static_cast<std::size_t>(ports), -1);
   sa_request_vc_.assign(static_cast<std::size_t>(ports), -1);
+  if (table_ == nullptr) route_scratch_.resize(routing_->max_candidates());
 }
 
 void Router::attach(int port, Channel* in_channel, Channel* out_channel) {
@@ -135,19 +136,26 @@ void Router::compute_route(int port, int vc) {
     if (ugal_mode_) {
       compute_route_ugal(ivc, in_port, in_vc);
     } else {
-      ivc.routes = row(in_port, in_vc, head.dest, ivc.live_candidates);
+      set_row(ivc, in_port, in_vc, head.dest);
     }
     SHG_ASSERT(!ivc.routes.empty(), "routing returned no candidates");
   }
   ivc.state = InputVc::State::kVcAlloc;
 }
 
-std::span<const RouteCandidate> Router::row(
-    int in_port, int in_vc, int dest,
-    std::vector<RouteCandidate>& storage) const {
+std::span<const RouteCandidate> Router::row(int in_port, int in_vc,
+                                            int dest) {
   if (table_ != nullptr) return table_->lookup(node_, in_port, in_vc, dest);
-  storage = routing_->route(node_, in_port, in_vc, dest);
-  return storage;
+  return {route_scratch_.data(),
+          routing_->route(node_, in_port, in_vc, dest, route_scratch_)};
+}
+
+void Router::set_row(InputVc& ivc, int in_port, int in_vc, int dest) {
+  ivc.routes = row(in_port, in_vc, dest);
+  if (table_ == nullptr) {
+    ivc.live_candidates.assign(ivc.routes.begin(), ivc.routes.end());
+    ivc.routes = ivc.live_candidates;
+  }
 }
 
 int Router::adaptive_occupancy(int out_port) {
@@ -167,7 +175,7 @@ void Router::compute_route_ugal(InputVc& ivc, int in_port, int in_vc) {
   const bool on_escape =
       in_port >= 0 && in_vc >= 0 && in_vc < kUgalEscapeVcs;
   if (on_escape) {
-    ivc.routes = row(in_port, in_vc, head.dest, ivc.live_candidates);
+    set_row(ivc, in_port, in_vc, head.dest);
     return;
   }
   if (in_port < 0 && head.via < 0) {
@@ -180,11 +188,9 @@ void Router::compute_route_ugal(InputVc& ivc, int in_port, int in_vc) {
     // router), so the decision is engine-independent.
     const int via = ugal_info_->via_of(node_, head.dest);
     if (via >= 0) {
-      std::vector<RouteCandidate> scratch;
-      const auto row_min = row(-1, -1, head.dest, scratch);
-      const int occ_min = adaptive_occupancy(row_min.front().out_port);
-      const auto row_nm = row(-1, -1, via, scratch);
-      const int occ_nm = adaptive_occupancy(row_nm.front().out_port);
+      const int occ_min =
+          adaptive_occupancy(row(-1, -1, head.dest).front().out_port);
+      const int occ_nm = adaptive_occupancy(row(-1, -1, via).front().out_port);
       const long long cost_min =
           static_cast<long long>(occ_min) *
           ugal_info_->hops_between(node_, head.dest);
@@ -205,22 +211,21 @@ void Router::compute_route_ugal(InputVc& ivc, int in_port, int in_vc) {
   // via == -1.
   if (head.via == node_) head.via = -1;
   if (head.via < 0) {
-    ivc.routes = row(in_port, in_vc, head.dest, ivc.live_candidates);
+    set_row(ivc, in_port, in_vc, head.dest);
     return;
   }
   // Non-minimal leg: adaptive candidates steer toward the intermediate,
   // the escape candidates keep targeting the final destination (escape
   // entry abandons the leg; see above).
-  std::vector<RouteCandidate> spliced;
-  std::vector<RouteCandidate> scratch;
-  for (const RouteCandidate& cand : row(in_port, in_vc, head.via, scratch)) {
+  std::vector<RouteCandidate>& spliced = ivc.live_candidates;
+  spliced.clear();
+  for (const RouteCandidate& cand : row(in_port, in_vc, head.via)) {
     if (cand.vc_begin >= kUgalEscapeVcs) spliced.push_back(cand);
   }
-  for (const RouteCandidate& cand : row(in_port, in_vc, head.dest, scratch)) {
+  for (const RouteCandidate& cand : row(in_port, in_vc, head.dest)) {
     if (cand.vc_begin < kUgalEscapeVcs) spliced.push_back(cand);
   }
-  ivc.live_candidates = std::move(spliced);
-  ivc.routes = ivc.live_candidates;
+  ivc.routes = spliced;
 }
 
 void Router::allocate_phase(Cycle now) {

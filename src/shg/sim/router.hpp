@@ -80,7 +80,7 @@ class Router {
     /// Candidates of the head packet: a view into the route table's arena,
     /// into `live_candidates`, or over `eject` — valid until the tail leaves.
     std::span<const RouteCandidate> routes;
-    std::vector<RouteCandidate> live_candidates;  ///< live-routing mode only
+    std::vector<RouteCandidate> live_candidates;  ///< live rows, UGAL splices
     RouteCandidate eject;                         ///< ejection storage
     int out_port = -1;
     int out_vc = -1;
@@ -111,10 +111,13 @@ class Router {
   void compute_route_ugal(InputVc& ivc, int in_port, int in_vc);
 
   /// Candidate row for state (in_port, in_vc) toward `dest`: a table lookup
-  /// or a live routing call materialized into `storage`.
-  std::span<const RouteCandidate> row(int in_port, int in_vc, int dest,
-                                      std::vector<RouteCandidate>& storage)
-      const;
+  /// or a live routing call into the scratch buffer, valid until the next
+  /// row() call.
+  std::span<const RouteCandidate> row(int in_port, int in_vc, int dest);
+
+  /// Points ivc's candidates at row(in_port, in_vc, dest); a live row is
+  /// copied into ivc.live_candidates so it outlives the scratch buffer.
+  void set_row(InputVc& ivc, int in_port, int in_vc, int dest);
 
   /// Flits occupying the downstream adaptive-band buffers of `out_port`
   /// (buffer depth minus credits, summed over VCs [kUgalEscapeVcs, V)) —
@@ -137,6 +140,8 @@ class Router {
   std::vector<InputVc> input_vcs_;      ///< [port][vc] flattened
   std::vector<OutputVc> output_vcs_;    ///< [port][vc] flattened
   std::vector<Flit> ejected_;
+  /// Live routing's output buffer, routing_->max_candidates() long.
+  std::vector<RouteCandidate> route_scratch_;
 
   // Rotating-priority state for the allocators.
   std::vector<int> va_rr_;      ///< per output VC

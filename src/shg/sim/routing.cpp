@@ -1,7 +1,6 @@
 #include "shg/sim/routing.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "shg/common/prng.hpp"
 #include "shg/graph/shortest_paths.hpp"
@@ -12,22 +11,24 @@ namespace shg::sim {
 
 namespace {
 
-/// (u, v) -> output port of u toward v; -1 when not adjacent. Port i of
-/// router u corresponds to graph().neighbors(u)[i] (network convention).
-std::vector<std::vector<int>> build_port_lookup(const topo::Topology& topo) {
-  const auto& g = topo.graph();
-  std::vector<std::vector<int>> lookup(
-      static_cast<std::size_t>(g.num_nodes()),
-      std::vector<int>(static_cast<std::size_t>(g.num_nodes()), -1));
-  for (graph::NodeId u = 0; u < g.num_nodes(); ++u) {
-    const auto& nbrs = g.neighbors(u);
-    for (std::size_t i = 0; i < nbrs.size(); ++i) {
-      lookup[static_cast<std::size_t>(u)]
-            [static_cast<std::size_t>(nbrs[i].node)] = static_cast<int>(i);
-    }
+/// Output port of router u toward its neighbour v: the index of v in
+/// graph().neighbors(u) (network convention). A scan over u's degree-many
+/// entries, so no routing function needs an N x N port lookup.
+int port_toward(const graph::Graph& g, int u, int v) {
+  const auto& nbrs = g.neighbors(u);
+  for (std::size_t i = 0; i < nbrs.size(); ++i) {
+    if (nbrs[i].node == v) return static_cast<int>(i);
   }
-  return lookup;
+  SHG_ASSERT(false, "route stepped to a non-neighbor");
+  return -1;
 }
+
+/// One neighbour of a line position: where it sits along the line and the
+/// output port of the position's router that leads there.
+struct LineStep {
+  int pos = 0;
+  int port = 0;
+};
 
 /// A 1D "line": the sub-topology within one row (positions = columns) or
 /// one column (positions = rows), or the whole ring. Lines are either paths
@@ -36,14 +37,16 @@ std::vector<std::vector<int>> build_port_lookup(const topo::Topology& topo) {
 struct Line {
   bool is_cycle = false;
   int length = 0;
-  std::vector<std::vector<int>> nbrs;  ///< position -> neighbor positions
+  /// position -> neighbours, sorted by ascending position.
+  std::vector<std::vector<LineStep>> nbrs;
   // Cycle-only fields:
-  std::vector<int> ring_index;  ///< position -> index along the cycle walk
-  std::vector<int> succ;        ///< position -> clockwise neighbor position
-  std::vector<int> pred;        ///< position -> counter-clockwise neighbor
+  std::vector<int> ring_index;     ///< position -> index along the cycle walk
+  std::vector<LineStep> succ;      ///< position -> clockwise neighbour
+  std::vector<LineStep> pred;      ///< position -> counter-clockwise neighbour
 
-  /// Builds the line from its internal adjacency.
-  static Line from_adjacency(std::vector<std::vector<int>> nbrs) {
+  /// Builds the line from its internal adjacency (each position's
+  /// neighbours in router port order).
+  static Line from_adjacency(std::vector<std::vector<LineStep>> nbrs) {
     Line line;
     line.nbrs = std::move(nbrs);
     line.length = static_cast<int>(line.nbrs.size());
@@ -51,38 +54,37 @@ struct Line {
         line.length >= 3 &&
         std::all_of(line.nbrs.begin(), line.nbrs.end(),
                     [](const auto& n) { return n.size() == 2; });
-    if (!all_degree_two) return line;
-
-    // Walk the cycle starting at position 0 to establish a ring order.
-    line.ring_index.assign(static_cast<std::size_t>(line.length), -1);
-    line.succ.assign(static_cast<std::size_t>(line.length), -1);
-    line.pred.assign(static_cast<std::size_t>(line.length), -1);
-    int prev = -1;
-    int cur = 0;
-    for (int step = 0; step < line.length; ++step) {
-      line.ring_index[static_cast<std::size_t>(cur)] = step;
-      const auto& n = line.nbrs[static_cast<std::size_t>(cur)];
-      const int next = (n[0] == prev) ? n[1] : n[0];
-      line.succ[static_cast<std::size_t>(cur)] = next;
-      line.pred[static_cast<std::size_t>(next)] = cur;
-      prev = cur;
-      cur = next;
-    }
-    // A true single cycle returns to the start after `length` steps.
-    if (cur == 0 && std::all_of(line.ring_index.begin(), line.ring_index.end(),
-                                [](int r) { return r >= 0; })) {
-      line.is_cycle = true;
+    if (all_degree_two) line.walk_cycle();
+    // Insertion sort by position, once: a position has a handful of
+    // neighbours.
+    const auto by_pos = [](const LineStep& a, const LineStep& b) {
+      return a.pos < b.pos;
+    };
+    for (auto& n : line.nbrs) {
+      for (auto it = n.begin(); it != n.end(); ++it) {
+        std::rotate(std::upper_bound(n.begin(), it, *it, by_pos), it, it + 1);
+      }
     }
     return line;
   }
 
-  /// Next-position candidates from `from` toward `to`, most preferred
-  /// first. For cycles the single shortest-direction step is returned and
-  /// `crosses_dateline` reports whether it traverses the wrap edge.
-  void candidates(int from, int to, std::vector<int>* out,
-                  bool* crosses_dateline) const {
-    out->clear();
-    *crosses_dateline = false;
+  /// Largest neighbour count of any position: a bound on the steps
+  /// steps_toward() emits.
+  std::size_t max_degree() const {
+    std::size_t best = 0;
+    for (const auto& n : nbrs) best = std::max(best, n.size());
+    return best;
+  }
+
+  /// Calls emit(step, crosses_dateline) for each next-position candidate
+  /// from `from` toward `to`, most preferred first; returns how many.
+  /// Cycles emit the single shortest-direction step and report whether it
+  /// traverses the wrap edge. Paths emit every monotone step that does not
+  /// overshoot, largest first: with neighbours sorted by position these
+  /// are one contiguous range, (from, to] walked downward or [to, from)
+  /// walked upward, so no per-call sorting is needed.
+  template <typename Emit>
+  std::size_t steps_toward(int from, int to, Emit&& emit) const {
     if (is_cycle) {
       const int L = length;
       const int rf = ring_index[static_cast<std::size_t>(from)];
@@ -90,26 +92,60 @@ struct Line {
       const int cw = (rt - rf + L) % L;
       const int ccw = L - cw;
       if (cw <= ccw) {
-        out->push_back(succ[static_cast<std::size_t>(from)]);
-        *crosses_dateline = rf == L - 1;  // edge (L-1 -> 0)
+        emit(succ[static_cast<std::size_t>(from)], rf == L - 1);  // L-1 -> 0
       } else {
-        out->push_back(pred[static_cast<std::size_t>(from)]);
-        *crosses_dateline = rf == 0;  // edge (0 -> L-1)
+        emit(pred[static_cast<std::size_t>(from)], rf == 0);  // 0 -> L-1
       }
-      return;
+      return 1;
     }
-    // Path line: all monotone steps that do not overshoot, largest first.
-    for (int n : nbrs[static_cast<std::size_t>(from)]) {
-      const bool improves = std::abs(n - to) < std::abs(from - to);
-      const bool monotone = (from < to) ? (n > from && n <= to)
-                                        : (n < from && n >= to);
-      if (improves && monotone) out->push_back(n);
+    const auto& n = nbrs[static_cast<std::size_t>(from)];
+    const auto by_pos = [](const LineStep& s, int pos) { return s.pos < pos; };
+    std::size_t count = 0;
+    if (from < to) {
+      // Last neighbour at or below `to`, walking down while above `from`.
+      auto it = std::lower_bound(n.begin(), n.end(), to + 1, by_pos);
+      while (it != n.begin() && (it - 1)->pos > from) {
+        --it;
+        emit(*it, false);
+        ++count;
+      }
+    } else {
+      for (auto it = std::lower_bound(n.begin(), n.end(), to, by_pos);
+           it != n.end() && it->pos < from; ++it) {
+        emit(*it, false);
+        ++count;
+      }
     }
-    std::sort(out->begin(), out->end(), [to](int a, int b) {
-      return std::abs(a - to) < std::abs(b - to);
-    });
-    SHG_ASSERT(!out->empty(),
+    SHG_ASSERT(count > 0,
                "path line must contain unit steps toward the target");
+    return count;
+  }
+
+ private:
+  /// Walks the cycle from position 0 (in adjacency order, before sorting,
+  /// which fixes the clockwise direction) and marks the line a cycle if
+  /// the walk closes after `length` steps.
+  void walk_cycle() {
+    ring_index.assign(static_cast<std::size_t>(length), -1);
+    succ.assign(static_cast<std::size_t>(length), LineStep{-1, -1});
+    pred.assign(static_cast<std::size_t>(length), LineStep{-1, -1});
+    int prev = -1;
+    int cur = 0;
+    for (int step = 0; step < length; ++step) {
+      ring_index[static_cast<std::size_t>(cur)] = step;
+      const auto& n = nbrs[static_cast<std::size_t>(cur)];
+      const LineStep next = (n[0].pos == prev) ? n[1] : n[0];
+      succ[static_cast<std::size_t>(cur)] = next;
+      // The counter-clockwise step from `next` back to `cur`.
+      const auto& back = nbrs[static_cast<std::size_t>(next.pos)];
+      pred[static_cast<std::size_t>(next.pos)] =
+          back[0].pos == cur ? back[0] : back[1];
+      prev = cur;
+      cur = next.pos;
+    }
+    // A true single cycle returns to the start after `length` steps.
+    is_cycle = cur == 0 && std::all_of(ring_index.begin(), ring_index.end(),
+                                       [](int r) { return r >= 0; });
   }
 };
 
@@ -146,20 +182,21 @@ struct VcClasses {
 // strictly row-first.
 class XYHammingRouting final : public RoutingFunction {
  public:
-  XYHammingRouting(const topo::Topology& topo, int num_vcs)
-      : topo_(&topo), ports_(build_port_lookup(topo)) {
+  XYHammingRouting(const topo::Topology& topo, int num_vcs) : topo_(&topo) {
     const int rows = topo.rows();
     const int cols = topo.cols();
     // Row lines: positions are columns.
     for (int r = 0; r < rows; ++r) {
-      std::vector<std::vector<int>> nbrs(static_cast<std::size_t>(cols));
+      std::vector<std::vector<LineStep>> nbrs(static_cast<std::size_t>(cols));
       for (int c = 0; c < cols; ++c) {
-        for (const auto& n : topo.graph().neighbors(topo.node(r, c))) {
-          const auto other = topo.coord(n.node);
+        const auto& adj = topo.graph().neighbors(topo.node(r, c));
+        for (std::size_t i = 0; i < adj.size(); ++i) {
+          const auto other = topo.coord(adj[i].node);
           SHG_REQUIRE(other.row == r || other.col == c,
                       "XY routing requires axis-aligned links");
           if (other.row == r) {
-            nbrs[static_cast<std::size_t>(c)].push_back(other.col);
+            nbrs[static_cast<std::size_t>(c)].push_back(
+                LineStep{other.col, static_cast<int>(i)});
           }
         }
       }
@@ -167,12 +204,14 @@ class XYHammingRouting final : public RoutingFunction {
     }
     // Column lines: positions are rows.
     for (int c = 0; c < cols; ++c) {
-      std::vector<std::vector<int>> nbrs(static_cast<std::size_t>(rows));
+      std::vector<std::vector<LineStep>> nbrs(static_cast<std::size_t>(rows));
       for (int r = 0; r < rows; ++r) {
-        for (const auto& n : topo.graph().neighbors(topo.node(r, c))) {
-          const auto other = topo.coord(n.node);
+        const auto& adj = topo.graph().neighbors(topo.node(r, c));
+        for (std::size_t i = 0; i < adj.size(); ++i) {
+          const auto other = topo.coord(adj[i].node);
           if (other.col == c && other.row != r) {
-            nbrs[static_cast<std::size_t>(r)].push_back(other.row);
+            nbrs[static_cast<std::size_t>(r)].push_back(
+                LineStep{other.row, static_cast<int>(i)});
           }
         }
       }
@@ -187,29 +226,38 @@ class XYHammingRouting final : public RoutingFunction {
                 "dateline routing requires at least 2 VCs");
     o1turn_ = !any_cycle && num_vcs >= 2;
     classes_ = VcClasses{num_vcs, any_cycle || o1turn_};
+    // One dimension order emits at most one line's worth of steps;
+    // O1TURN injection emits both orders.
+    std::size_t line_bound = 1;
+    for (const auto* lines : {&row_lines_, &col_lines_}) {
+      for (const Line& l : *lines) {
+        line_bound = std::max(line_bound, l.max_degree());
+      }
+    }
+    max_candidates_ = o1turn_ ? 2 * line_bound : line_bound;
   }
 
-  std::vector<RouteCandidate> route(int node, int in_port, int in_vc,
-                                    int dest) const override {
+  std::size_t route(int node, int in_port, int in_vc, int dest,
+                    std::span<RouteCandidate> out) const override {
+    const auto at = topo_->coord(node);
+    const auto to = topo_->coord(dest);
     if (o1turn_) {
       if (in_port < 0) {
         // Injection: offer both dimension orders; whichever class the VC
         // allocator grants determines the packet's order for its lifetime.
-        auto result = order_candidates(node, dest, /*row_first=*/true, 0);
-        auto yx = order_candidates(node, dest, /*row_first=*/false, 1);
-        result.insert(result.end(), yx.begin(), yx.end());
-        return result;
+        const std::size_t n =
+            order_candidates(at, to, /*row_first=*/true, 0, out);
+        return n + order_candidates(at, to, /*row_first=*/false, 1,
+                                    out.subspan(n));
       }
       const int cls = classes_.class_of_vc(in_vc);
-      return order_candidates(node, dest, /*row_first=*/cls == 0, cls);
+      return order_candidates(at, to, /*row_first=*/cls == 0, cls, out);
     }
 
     // Dateline mode (torus / folded torus): strict row-first order; the VC
     // class tracks dateline crossings within the current dimension and
     // resets when the packet turns into the column phase (the dimensions
     // have disjoint channel sets, so each starts at class 0).
-    const auto at = topo_->coord(node);
-    const auto to = topo_->coord(dest);
     int cls = classes_.class_of_vc(in_vc);
     const bool column_phase = at.col == to.col;
     if (in_port >= 0) {
@@ -222,25 +270,18 @@ class XYHammingRouting final : public RoutingFunction {
       cls = 0;
     }
 
-    std::vector<int> steps;
-    bool crosses = false;
-    std::vector<RouteCandidate> result;
+    std::size_t n = 0;
+    const auto emit = [&](const LineStep& step, bool crosses) {
+      out[n++] = classes_.candidate(step.port, crosses ? 1 : cls);
+    };
     if (column_phase) {
-      const Line& line = col_lines_[static_cast<std::size_t>(at.col)];
-      line.candidates(at.row, to.row, &steps, &crosses);
-      for (int r : steps) {
-        result.push_back(classes_.candidate(
-            port(node, topo_->node(r, at.col)), crosses ? 1 : cls));
-      }
+      col_lines_[static_cast<std::size_t>(at.col)].steps_toward(at.row,
+                                                                to.row, emit);
     } else {
-      const Line& line = row_lines_[static_cast<std::size_t>(at.row)];
-      line.candidates(at.col, to.col, &steps, &crosses);
-      for (int c : steps) {
-        result.push_back(classes_.candidate(
-            port(node, topo_->node(at.row, c)), crosses ? 1 : cls));
-      }
+      row_lines_[static_cast<std::size_t>(at.row)].steps_toward(at.col,
+                                                                to.col, emit);
     }
-    return result;
+    return n;
   }
 
   std::string name() const override {
@@ -248,44 +289,29 @@ class XYHammingRouting final : public RoutingFunction {
   }
 
  private:
-  int port(int u, int v) const {
-    const int p = ports_[static_cast<std::size_t>(u)][static_cast<std::size_t>(v)];
-    SHG_ASSERT(p >= 0, "route stepped to a non-neighbor");
-    return p;
-  }
-
-  /// Monotone candidates for one dimension order (row-first or
-  /// column-first) with VCs restricted to `cls`.
-  std::vector<RouteCandidate> order_candidates(int node, int dest,
-                                               bool row_first,
-                                               int cls) const {
-    const auto at = topo_->coord(node);
-    const auto to = topo_->coord(dest);
-    std::vector<int> steps;
-    bool crosses = false;
-    std::vector<RouteCandidate> result;
+  /// Monotone candidates from tile `at` toward tile `to` for one dimension
+  /// order (row-first or column-first) with VCs restricted to `cls`,
+  /// written to `out`.
+  std::size_t order_candidates(topo::TileCoord at, topo::TileCoord to,
+                               bool row_first, int cls,
+                               std::span<RouteCandidate> out) const {
+    std::size_t n = 0;
+    const auto emit = [&](const LineStep& step, bool /*crosses*/) {
+      out[n++] = classes_.candidate(step.port, cls);
+    };
     const bool move_in_row =
         row_first ? at.col != to.col : at.row == to.row;
     if (move_in_row) {
-      const Line& line = row_lines_[static_cast<std::size_t>(at.row)];
-      line.candidates(at.col, to.col, &steps, &crosses);
-      for (int c : steps) {
-        result.push_back(
-            classes_.candidate(port(node, topo_->node(at.row, c)), cls));
-      }
+      row_lines_[static_cast<std::size_t>(at.row)].steps_toward(at.col,
+                                                                to.col, emit);
     } else {
-      const Line& line = col_lines_[static_cast<std::size_t>(at.col)];
-      line.candidates(at.row, to.row, &steps, &crosses);
-      for (int r : steps) {
-        result.push_back(
-            classes_.candidate(port(node, topo_->node(r, at.col)), cls));
-      }
+      col_lines_[static_cast<std::size_t>(at.col)].steps_toward(at.row,
+                                                                to.row, emit);
     }
-    return result;
+    return n;
   }
 
   const topo::Topology* topo_;
-  std::vector<std::vector<int>> ports_;
   std::vector<Line> row_lines_;
   std::vector<Line> col_lines_;
   VcClasses classes_;
@@ -298,14 +324,15 @@ class XYHammingRouting final : public RoutingFunction {
 
 class RingRouting final : public RoutingFunction {
  public:
-  RingRouting(const topo::Topology& topo, int num_vcs)
-      : topo_(&topo), ports_(build_port_lookup(topo)) {
+  RingRouting(const topo::Topology& topo, int num_vcs) {
     const auto& g = topo.graph();
-    std::vector<std::vector<int>> nbrs(
+    std::vector<std::vector<LineStep>> nbrs(
         static_cast<std::size_t>(g.num_nodes()));
     for (graph::NodeId u = 0; u < g.num_nodes(); ++u) {
-      for (const auto& n : g.neighbors(u)) {
-        nbrs[static_cast<std::size_t>(u)].push_back(n.node);
+      const auto& adj = g.neighbors(u);
+      for (std::size_t i = 0; i < adj.size(); ++i) {
+        nbrs[static_cast<std::size_t>(u)].push_back(
+            LineStep{adj[i].node, static_cast<int>(i)});
       }
     }
     line_ = Line::from_adjacency(std::move(nbrs));
@@ -314,27 +341,18 @@ class RingRouting final : public RoutingFunction {
     classes_ = VcClasses{num_vcs, true};
   }
 
-  std::vector<RouteCandidate> route(int node, int /*in_port*/, int in_vc,
-                                    int dest) const override {
-    std::vector<int> steps;
-    bool crosses = false;
-    line_.candidates(node, dest, &steps, &crosses);
-    const int cls = crosses ? 1 : classes_.class_of_vc(in_vc);
-    std::vector<RouteCandidate> result;
-    for (int next : steps) {
-      const int p =
-          ports_[static_cast<std::size_t>(node)][static_cast<std::size_t>(next)];
-      SHG_ASSERT(p >= 0, "ring step to non-neighbor");
-      result.push_back(classes_.candidate(p, cls));
-    }
-    return result;
+  std::size_t route(int node, int /*in_port*/, int in_vc, int dest,
+                    std::span<RouteCandidate> out) const override {
+    return line_.steps_toward(node, dest, [&](const LineStep& step,
+                                              bool crosses) {
+      out[0] = classes_.candidate(step.port,
+                                  crosses ? 1 : classes_.class_of_vc(in_vc));
+    });
   }
 
   std::string name() const override { return "ring-dateline"; }
 
  private:
-  const topo::Topology* topo_;
-  std::vector<std::vector<int>> ports_;
   Line line_;
   VcClasses classes_;
 };
@@ -346,7 +364,7 @@ class RingRouting final : public RoutingFunction {
 class EcubeRouting final : public RoutingFunction {
  public:
   EcubeRouting(const topo::Topology& topo, int num_vcs)
-      : topo_(&topo), num_vcs_(num_vcs), ports_(build_port_lookup(topo)) {
+      : topo_(&topo), num_vcs_(num_vcs) {
     const int n = topo.num_tiles();
     SHG_REQUIRE((n & (n - 1)) == 0, "hypercube needs a power-of-two size");
     int col_bits = 0;
@@ -365,18 +383,17 @@ class EcubeRouting final : public RoutingFunction {
     }
   }
 
-  std::vector<RouteCandidate> route(int node, int /*in_port*/, int /*in_vc*/,
-                                    int dest) const override {
+  std::size_t route(int node, int /*in_port*/, int /*in_vc*/, int dest,
+                    std::span<RouteCandidate> out) const override {
     const int diff = label_of_[static_cast<std::size_t>(node)] ^
                      label_of_[static_cast<std::size_t>(dest)];
     SHG_ASSERT(diff != 0, "route called with node == dest");
     const int bit = diff & -diff;  // lowest differing dimension
     const int next_label = label_of_[static_cast<std::size_t>(node)] ^ bit;
     const int next = node_of_[static_cast<std::size_t>(next_label)];
-    const int p =
-        ports_[static_cast<std::size_t>(node)][static_cast<std::size_t>(next)];
-    SHG_ASSERT(p >= 0, "e-cube step to non-neighbor");
-    return {RouteCandidate{p, 0, num_vcs_}};
+    out[0] = RouteCandidate{port_toward(topo_->graph(), node, next), 0,
+                            num_vcs_};
+    return 1;
   }
 
   std::string name() const override { return "e-cube"; }
@@ -386,7 +403,6 @@ class EcubeRouting final : public RoutingFunction {
 
   const topo::Topology* topo_;
   int num_vcs_;
-  std::vector<std::vector<int>> ports_;
   std::vector<int> label_of_;
   std::vector<int> node_of_;
 };
@@ -398,17 +414,19 @@ class EcubeRouting final : public RoutingFunction {
 class TableEscapeRouting final : public RoutingFunction {
  public:
   TableEscapeRouting(const topo::Topology& topo, int num_vcs)
-      : topo_(&topo), num_vcs_(num_vcs), ports_(build_port_lookup(topo)) {
+      : topo_(&topo), num_vcs_(num_vcs) {
     SHG_REQUIRE(num_vcs >= 2,
                 "escape-VC routing requires at least 2 VCs (VC0 = escape)");
     hops_ = graph::all_pairs_hops(topo.graph());
     tree_ = graph::bfs_spanning_tree(topo.graph(), 0);
     tables_ = graph::up_down_tables(topo.graph(), tree_);
+    // Every adaptive neighbour plus the escape hop.
+    max_candidates_ = static_cast<std::size_t>(topo.graph().max_degree()) + 1;
   }
 
-  std::vector<RouteCandidate> route(int node, int in_port, int in_vc,
-                                    int dest) const override {
-    std::vector<RouteCandidate> result;
+  std::size_t route(int node, int in_port, int in_vc, int dest,
+                    std::span<RouteCandidate> out) const override {
+    std::size_t n = 0;
     // Freshly injected packets sit in an arbitrary local-port VC; only
     // packets that traveled a network channel on VC 0 are on the escape
     // class.
@@ -421,8 +439,7 @@ class TableEscapeRouting final : public RoutingFunction {
       for (std::size_t i = 0; i < nbrs.size(); ++i) {
         if (hops_[static_cast<std::size_t>(nbrs[i].node)]
                  [static_cast<std::size_t>(dest)] == d - 1) {
-          result.push_back(
-              RouteCandidate{static_cast<int>(i), 1, num_vcs_});
+          out[n++] = RouteCandidate{static_cast<int>(i), 1, num_vcs_};
         }
       }
     }
@@ -445,11 +462,9 @@ class TableEscapeRouting final : public RoutingFunction {
                                   [static_cast<std::size_t>(dest)];
     }
     SHG_ASSERT(escape_next >= 0, "escape path must always exist");
-    const int p = ports_[static_cast<std::size_t>(node)]
-                        [static_cast<std::size_t>(escape_next)];
-    SHG_ASSERT(p >= 0, "escape step to non-neighbor");
-    result.push_back(RouteCandidate{p, 0, 1});
-    return result;
+    out[n++] =
+        RouteCandidate{port_toward(topo_->graph(), node, escape_next), 0, 1};
+    return n;
   }
 
   std::string name() const override { return "minimal-adaptive+escape"; }
@@ -457,7 +472,6 @@ class TableEscapeRouting final : public RoutingFunction {
  private:
   const topo::Topology* topo_;
   int num_vcs_;
-  std::vector<std::vector<int>> ports_;
   std::vector<std::vector<int>> hops_;
   graph::SpanningTree tree_;
   graph::UpDownTables tables_;
@@ -492,6 +506,9 @@ class UgalRouting final : public RoutingFunction {
     const auto& g = topo.graph();
     const int n = g.num_nodes();
     hops_ = graph::all_pairs_hops(g);
+    // Every adaptive neighbour plus the escape routing's own bound.
+    max_candidates_ =
+        static_cast<std::size_t>(g.max_degree()) + escape_->max_candidates();
     info_.num_nodes = n;
     const auto flat = static_cast<std::size_t>(n) * static_cast<std::size_t>(n);
     info_.via.assign(flat, -1);
@@ -526,8 +543,8 @@ class UgalRouting final : public RoutingFunction {
     }
   }
 
-  std::vector<RouteCandidate> route(int node, int in_port, int in_vc,
-                                    int dest) const override {
+  std::size_t route(int node, int in_port, int in_vc, int dest,
+                    std::span<RouteCandidate> out) const override {
     // Only packets that traveled a network channel on an escape VC are on
     // the escape band; injected packets (in_port == -1) and adaptive-VC
     // arrivals are in the adaptive state.
@@ -536,26 +553,25 @@ class UgalRouting final : public RoutingFunction {
     if (on_escape) {
       // Stay on escape: the family routing's candidates all live in
       // [0, kUgalEscapeVcs) because it was built for that many VCs.
-      return escape_->route(node, in_port, in_vc, dest);
+      return escape_->route(node, in_port, in_vc, dest, out);
     }
     // Fully adaptive minimal hops on the adaptive VC band.
-    std::vector<RouteCandidate> result;
+    std::size_t n = 0;
     const int d = hops_[static_cast<std::size_t>(node)]
                        [static_cast<std::size_t>(dest)];
     const auto& nbrs = topo_->graph().neighbors(node);
     for (std::size_t i = 0; i < nbrs.size(); ++i) {
       if (hops_[static_cast<std::size_t>(nbrs[i].node)]
                [static_cast<std::size_t>(dest)] == d - 1) {
-        result.push_back(
-            RouteCandidate{static_cast<int>(i), kUgalEscapeVcs, num_vcs_});
+        out[n++] =
+            RouteCandidate{static_cast<int>(i), kUgalEscapeVcs, num_vcs_};
       }
     }
     // Escape entry: ask the family routing as if the packet were freshly
     // injected at this node (in_vc == -1 resolves to its class 0), so any
     // adaptive packet can always fall onto the escape network mid-path.
-    auto escape = escape_->route(node, in_port, -1, dest);
-    result.insert(result.end(), escape.begin(), escape.end());
-    return result;
+    // Its candidates land straight after the adaptive ones.
+    return n + escape_->route(node, in_port, -1, dest, out.subspan(n));
   }
 
   std::string name() const override { return "ugal+" + escape_->name(); }

@@ -25,8 +25,10 @@
 //    and the hop counts of the minimal/non-minimal legs.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "shg/topo/topology.hpp"
@@ -78,9 +80,25 @@ class RoutingFunction {
  public:
   virtual ~RoutingFunction() = default;
 
-  /// Precondition: node != dest (ejection is handled by the router).
-  virtual std::vector<RouteCandidate> route(int node, int in_port, int in_vc,
-                                            int dest) const = 0;
+  /// Writes the candidates into the front of `out` and returns how many it
+  /// wrote; never allocates. Preconditions: node != dest (ejection is
+  /// handled by the router) and out.size() >= max_candidates(). Throws
+  /// shg::Error for states the function's own invariants make unreachable.
+  virtual std::size_t route(int node, int in_port, int in_vc, int dest,
+                            std::span<RouteCandidate> out) const = 0;
+
+  /// Upper bound on the candidate count of any route() call, fixed at
+  /// construction: the buffer size callers hand to route().
+  std::size_t max_candidates() const { return max_candidates_; }
+
+  /// Convenience form for tests and benches: the candidates in a fresh
+  /// vector (allocates; the simulator and RouteTable use the span form).
+  std::vector<RouteCandidate> route(int node, int in_port, int in_vc,
+                                    int dest) const {
+    std::vector<RouteCandidate> out(max_candidates());
+    out.resize(route(node, in_port, in_vc, dest, out));
+    return out;
+  }
 
   /// Human-readable name for reports.
   virtual std::string name() const = 0;
@@ -90,6 +108,10 @@ class RoutingFunction {
   /// needs. Minimal routings return nullptr and the router never consults
   /// occupancy.
   virtual const UgalInfo* ugal_info() const { return nullptr; }
+
+ protected:
+  /// Set by each function's constructor; one candidate unless it says more.
+  std::size_t max_candidates_ = 1;
 };
 
 /// Monotone XY routing over row/column "lines" with per-line path or

@@ -147,8 +147,10 @@ void SoaEngine::build_fabric(const topo::Topology& topo,
   ivc_routes_len_.assign(slots, 0);
   ivc_eject_.assign(slots, RouteCandidate{});
   // Per-slot candidate storage for rows that are not a table arena range:
-  // live-routing rows and UGAL's spliced via-leg rows.
-  ivc_live_.resize(slots);
+  // live-routing rows and UGAL's spliced via-leg rows. A minimal-policy run
+  // from a table has neither, and skips the per-slot vectors.
+  if (table_ == nullptr || ugal_mode_) ivc_live_.resize(slots);
+  if (table_ == nullptr) route_scratch_.resize(routing_->max_candidates());
   ovc_busy_.assign(slots, 0);
   ovc_credits_.resize(slots);
   for (int r = 0; r < num_routers_; ++r) {
@@ -401,7 +403,7 @@ void SoaEngine::compute_route(int r, int port, int vc, std::size_t s) {
     if (ugal_mode_) {
       compute_route_ugal(r, s, in_port, in_vc, head.pkt, dest);
     } else {
-      set_routes(s, row(r, in_port, in_vc, dest, ivc_live_[s]));
+      set_row(s, r, in_port, in_vc, dest);
     }
     SHG_ASSERT(ivc_routes_len_[s] > 0, "routing returned no candidates");
   }
@@ -410,9 +412,8 @@ void SoaEngine::compute_route(int r, int port, int vc, std::size_t s) {
   ++va_pending_[static_cast<std::size_t>(r)];
 }
 
-int SoaEngine::first_port(int r, int to) const {
-  std::vector<RouteCandidate> storage;
-  return row(r, -1, -1, to, storage).front().out_port;
+int SoaEngine::first_port(int r, int to) {
+  return row(r, -1, -1, to).front().out_port;
 }
 
 int SoaEngine::adaptive_occupancy(int r, int port) const {
@@ -426,9 +427,8 @@ int SoaEngine::adaptive_occupancy(int r, int port) const {
 
 void SoaEngine::append_band(int r, int in_port, int in_vc, int to,
                             bool adaptive,
-                            std::vector<RouteCandidate>& out) const {
-  std::vector<RouteCandidate> storage;
-  for (const RouteCandidate& cand : row(r, in_port, in_vc, to, storage)) {
+                            std::vector<RouteCandidate>& out) {
+  for (const RouteCandidate& cand : row(r, in_port, in_vc, to)) {
     if ((cand.vc_begin >= kUgalEscapeVcs) == adaptive) out.push_back(cand);
   }
 }
@@ -476,7 +476,7 @@ void SoaEngine::compute_route_ugal(int r, std::size_t s, int in_port,
   }
   // Escape state or minimal/post-via adaptive state: the plain row toward
   // the destination.
-  set_routes(s, row(r, in_port, in_vc, dest, ivc_live_[s]));
+  set_row(s, r, in_port, in_vc, dest);
 }
 
 void SoaEngine::allocate(int r, Cycle now) {

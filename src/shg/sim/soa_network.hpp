@@ -145,19 +145,31 @@ class SoaEngine {
   void allocate(int r, Cycle now);
   void compute_route(int r, int port, int vc, std::size_t s);
   /// Candidate row for state (in_port, in_vc) toward `dest` at router r: a
-  /// table lookup, or a live route() call materialized into `storage`.
-  /// Inline, so the table path stays a pair of array reads in the hot loop.
-  std::span<const RouteCandidate> row(
-      int r, int in_port, int in_vc, int dest,
-      std::vector<RouteCandidate>& storage) const {
+  /// table lookup, or a live route() call into the scratch buffer, valid
+  /// until the next row() call. Inline, so the table path stays a pair of
+  /// array reads in the hot loop.
+  std::span<const RouteCandidate> row(int r, int in_port, int in_vc,
+                                      int dest) {
     if (table_ != nullptr) return table_->lookup(r, in_port, in_vc, dest);
-    storage = routing_->route(r, in_port, in_vc, dest);
-    return storage;
+    return {route_scratch_.data(),
+            routing_->route(r, in_port, in_vc, dest, route_scratch_)};
   }
   /// Points slot s's candidate list at `routes`.
   void set_routes(std::size_t s, std::span<const RouteCandidate> routes) {
     ivc_routes_[s] = routes.data();
     ivc_routes_len_[s] = static_cast<std::int32_t>(routes.size());
+  }
+  /// Points slot s at router r's row for (in_port, in_vc) toward `dest`. A
+  /// live row is copied into the slot's own storage (reusing its capacity),
+  /// since the scratch buffer it sits in is overwritten by the next row().
+  void set_row(std::size_t s, int r, int in_port, int in_vc, int dest) {
+    const auto routes = row(r, in_port, in_vc, dest);
+    if (table_ == nullptr) {
+      ivc_live_[s].assign(routes.begin(), routes.end());
+      set_routes(s, ivc_live_[s]);
+    } else {
+      set_routes(s, routes);
+    }
   }
 
   /// UGAL-mode route computation (mirrors Router::compute_route_ugal):
@@ -166,13 +178,13 @@ class SoaEngine {
   void compute_route_ugal(int r, std::size_t s, int in_port, int in_vc,
                           std::int32_t pkt, int dest);
   /// Output port of the first injection-row candidate toward `to`.
-  int first_port(int r, int to) const;
+  int first_port(int r, int to);
   /// Downstream adaptive-band occupancy of router r's output `port`.
   int adaptive_occupancy(int r, int port) const;
   /// Appends the adaptive (or escape) band of the (in_port, in_vc) row
   /// toward `to` onto `out`.
   void append_band(int r, int in_port, int in_vc, int to, bool adaptive,
-                   std::vector<RouteCandidate>& out) const;
+                   std::vector<RouteCandidate>& out);
 
   void push_buf(std::size_t s, Cycle ready, std::int32_t pkt,
                 std::uint8_t flags);
@@ -283,6 +295,8 @@ class SoaEngine {
   std::vector<int> sa_request_vc_;
   std::vector<int> sa_req_in_;   ///< input ports that nominated this cycle
   std::vector<int> sa_req_ops_;  ///< distinct requested out ports, ascending
+  /// Live routing's output buffer, routing_->max_candidates() long.
+  std::vector<RouteCandidate> route_scratch_;
 };
 
 }  // namespace shg::sim

@@ -4,8 +4,12 @@
 // results with no table (live routing) and with a shared table.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <memory>
+#include <span>
 
+#include "shg/common/parallel.hpp"
 #include "shg/sim/route_table.hpp"
 #include "shg/sim/simulator.hpp"
 #include "shg/topo/generators.hpp"
@@ -205,6 +209,130 @@ TEST(RouteTable, DedupPreservesEveryLookup) {
   const RouteTable table(topo, *routing, kVcs);
   EXPECT_NO_THROW(table.verify_against(*routing));
   EXPECT_GE(table.num_candidates_undeduped(), table.num_candidates());
+}
+
+/// Builds `routing`'s table on the calling thread alone and on four workers
+/// and requires both to hold exactly the layout of a serial single-pass
+/// build: every state's candidates and arena offset, and the same four size
+/// counters. The oracle is independent of RouteTable: one in-order pass
+/// over the states with live route() calls, placing each novel candidate
+/// list at the next free arena offset. Offsets are measured from the first
+/// row (node 0 toward itself), which is always the empty list at offset 0.
+/// `splits` asserts the table has at least two grains of rows, so its
+/// four-worker build really runs as several tasks and merges their rows.
+void expect_parallel_build_identical(const topo::Topology& topo,
+                                     const RoutingFunction& routing,
+                                     int num_vcs, bool splits) {
+  set_max_threads(1);
+  const RouteTable serial(topo, routing, num_vcs);
+  set_max_threads(4);
+  const RouteTable parallel(topo, routing, num_vcs);
+  set_max_threads(0);
+  if (splits) {
+    EXPECT_GE(serial.num_rows(), 2 * RouteTable::kBuildGrainRows)
+        << topo.name();
+  }
+  EXPECT_EQ(serial.num_rows(), parallel.num_rows());
+  EXPECT_EQ(serial.num_unique_rows(), parallel.num_unique_rows());
+  EXPECT_EQ(serial.memory_bytes(), parallel.memory_bytes());
+  EXPECT_EQ(serial.undeduped_memory_bytes(), parallel.undeduped_memory_bytes());
+  EXPECT_EQ(serial.num_candidates(), parallel.num_candidates());
+
+  const auto same = [](const RouteCandidate& x, const RouteCandidate& y) {
+    return x.out_port == y.out_port && x.vc_begin == y.vc_begin &&
+           x.vc_end == y.vc_end;
+  };
+  // Plain loops with reused buffers: gtest macros or allocations per state
+  // would dominate the sanitizer builds.
+  std::map<std::vector<int>, std::ptrdiff_t> first_offset;
+  std::ptrdiff_t next_offset = 0;
+  std::size_t undeduped = 0;
+  std::vector<RouteCandidate> buffer(routing.max_candidates());
+  std::vector<int> key;
+  for (int node = 0; node < topo.num_tiles(); ++node) {
+    const int degree = topo.graph().degree(node);
+    for (int slot = 0; slot < 1 + degree * num_vcs; ++slot) {
+      const int in_port = slot == 0 ? -1 : (slot - 1) / num_vcs;
+      const int in_vc = slot == 0 ? -1 : (slot - 1) % num_vcs;
+      for (int dest = 0; dest < topo.num_tiles(); ++dest) {
+        std::size_t count = 0;
+        if (dest != node) {
+          try {
+            count = routing.route(node, in_port, in_vc, dest, buffer);
+          } catch (const Error&) {
+            count = 0;  // rejected state: stored empty
+          }
+        }
+        const std::span<const RouteCandidate> expected(buffer.data(), count);
+        undeduped += count;
+        key.clear();
+        for (const RouteCandidate& c : expected) {
+          key.insert(key.end(), {c.out_port, c.vc_begin, c.vc_end});
+        }
+        auto it = first_offset.find(key);
+        if (it == first_offset.end()) {
+          it = first_offset.emplace(key, next_offset).first;
+          next_offset += static_cast<std::ptrdiff_t>(count);
+        }
+        // Report the first difference of either table.
+        for (const RouteTable* table : {&serial, &parallel}) {
+          const auto actual = table->lookup(node, in_port, in_vc, dest);
+          const RouteCandidate* base = table->lookup(0, -1, -1, 0).data();
+          if (actual.data() - base != it->second ||
+              !std::equal(actual.begin(), actual.end(), expected.begin(),
+                          expected.end(), same)) {
+            FAIL() << topo.name() << (table == &serial ? " serial" : " parallel")
+                   << " build differs at node " << node << " in_port "
+                   << in_port << " in_vc " << in_vc << " dest " << dest;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(serial.num_unique_rows(), first_offset.size());
+  EXPECT_EQ(serial.num_candidates(), static_cast<std::size_t>(next_offset));
+  EXPECT_EQ(serial.num_candidates_undeduped(), undeduped);
+}
+
+// One fabric per routing-function shape is large enough to split into
+// several tasks (O1TURN on SHG, dateline on the torus, ring, e-cube,
+// escape, UGAL); mesh and Ruche stay one task and check the same layout.
+TEST(RouteTableParallelBuild, IdenticalToSerialOnGridFamilies) {
+  const auto mesh = topo::make_mesh(8, 8);
+  expect_parallel_build_identical(mesh, *make_xy_hamming_routing(mesh, kVcs),
+                                  kVcs, /*splits=*/false);
+  const auto ruche = topo::make_ruche(9, 8, 3, 2);
+  expect_parallel_build_identical(ruche, *make_xy_hamming_routing(ruche, 2), 2,
+                                  /*splits=*/false);
+  const auto torus = topo::make_torus(14, 14);
+  expect_parallel_build_identical(torus, *make_xy_hamming_routing(torus, kVcs),
+                                  kVcs, /*splits=*/true);
+  const auto shg = topo::make_sparse_hamming(13, 13, {2, 4}, {2, 4});
+  expect_parallel_build_identical(shg, *make_xy_hamming_routing(shg, 2), 2,
+                                  /*splits=*/true);
+}
+
+TEST(RouteTableParallelBuild, IdenticalToSerialOnRingHypercubeSlimNoc) {
+  const auto ring = topo::make_ring(16, 22);
+  expect_parallel_build_identical(ring, *make_ring_routing(ring, 2), 2,
+                                  /*splits=*/true);
+  const auto cube = topo::make_hypercube(16, 16);
+  expect_parallel_build_identical(cube, *make_ecube_routing(cube, 1), 1,
+                                  /*splits=*/true);
+  // Escape routing rejects some states by throwing: the tasks must store
+  // those rows empty exactly as a serial build does.
+  const auto slim = topo::make_slim_noc(8, 16);
+  expect_parallel_build_identical(slim, *make_table_escape_routing(slim, 3), 3,
+                                  /*splits=*/true);
+}
+
+TEST(RouteTableParallelBuild, IdenticalToSerialUnderUgal) {
+  const auto mesh = topo::make_mesh(8, 8);
+  expect_parallel_build_identical(mesh, *make_ugal_routing(mesh, kVcs, 7),
+                                  kVcs, /*splits=*/false);
+  const auto torus = topo::make_torus(14, 14);
+  expect_parallel_build_identical(torus, *make_ugal_routing(torus, kVcs, 7),
+                                  kVcs, /*splits=*/true);
 }
 
 TEST(RouteTable, SharedTableMatchesPrivateTable) {

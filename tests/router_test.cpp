@@ -12,8 +12,10 @@ namespace {
 class ForwardPort0 final : public RoutingFunction {
  public:
   explicit ForwardPort0(int num_vcs) : num_vcs_(num_vcs) {}
-  std::vector<RouteCandidate> route(int, int, int, int) const override {
-    return {RouteCandidate{0, 0, num_vcs_}};
+  std::size_t route(int, int, int, int,
+                    std::span<RouteCandidate> out) const override {
+    out[0] = RouteCandidate{0, 0, num_vcs_};
+    return 1;
   }
   std::string name() const override { return "forward-port0"; }
 

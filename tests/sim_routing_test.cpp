@@ -2,6 +2,8 @@
 // via exact-reachability channel dependency graphs (Dally & Seitz).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdlib>
 #include <map>
 #include <queue>
 #include <set>
@@ -335,6 +337,152 @@ TEST(XYRouting, O1TurnClassesStickAfterInjection) {
                          .node;
     EXPECT_EQ(topo.coord(next).col, 0);
   }
+}
+
+/// The XY rule as it stood before lines kept their neighbours sorted: take
+/// the node's neighbours along the moving dimension, keep the monotone
+/// steps that do not overshoot, and sort them by remaining distance. A
+/// test-local copy for grids whose lines are all paths (mesh, FB, SHG,
+/// Ruche): row-first with one VC class, O1TURN with two.
+std::vector<RouteCandidate> filter_sort_xy(const topo::Topology& topo,
+                                           int num_vcs, int node, int in_port,
+                                           int in_vc, int dest) {
+  const bool o1turn = num_vcs >= 2;
+  const int half = num_vcs / 2;
+  const auto order = [&](bool row_first, int cls) {
+    const auto at = topo.coord(node);
+    const auto to = topo.coord(dest);
+    const bool in_row = row_first ? at.col != to.col : at.row == to.row;
+    const int from = in_row ? at.col : at.row;
+    const int target = in_row ? to.col : to.row;
+    std::vector<int> steps;
+    for (const auto& n : topo.graph().neighbors(node)) {
+      const auto c = topo.coord(n.node);
+      if (in_row ? c.row != at.row : c.col != at.col) continue;
+      const int p = in_row ? c.col : c.row;
+      const bool improves = std::abs(p - target) < std::abs(from - target);
+      const bool monotone = from < target ? (p > from && p <= target)
+                                          : (p < from && p >= target);
+      if (improves && monotone) steps.push_back(p);
+    }
+    std::sort(steps.begin(), steps.end(), [target](int a, int b) {
+      return std::abs(a - target) < std::abs(b - target);
+    });
+    std::vector<RouteCandidate> out;
+    for (const int p : steps) {
+      const int next = in_row ? topo.node(at.row, p) : topo.node(p, at.col);
+      const int port = port_of(topo, node, next);
+      out.push_back(!o1turn    ? RouteCandidate{port, 0, num_vcs}
+                    : cls == 0 ? RouteCandidate{port, 0, half}
+                               : RouteCandidate{port, half, num_vcs});
+    }
+    return out;
+  };
+  if (!o1turn) return order(/*row_first=*/true, 0);
+  if (in_port < 0) {
+    auto both = order(/*row_first=*/true, 0);
+    const auto yx = order(/*row_first=*/false, 1);
+    both.insert(both.end(), yx.begin(), yx.end());
+    return both;
+  }
+  const int cls = in_vc < half ? 0 : 1;
+  return order(/*row_first=*/cls == 0, cls);
+}
+
+TEST(XYRouting, SortedLineRangesEqualFilterAndSortOnEveryState) {
+  for (const auto& topo :
+       {topo::make_sparse_hamming(6, 7, {2, 3, 5}, {2, 4}),
+        topo::make_ruche(7, 6, 3, 2), topo::make_flattened_butterfly(5, 4),
+        topo::make_mesh(5, 6)}) {
+    for (const int vcs : {1, 2, 4}) {
+      const auto routing = make_xy_hamming_routing(topo, vcs);
+      long long states = 0;
+      for (int node = 0; node < topo.num_tiles(); ++node) {
+        const int degree = topo.graph().degree(node);
+        for (int slot = 0; slot < 1 + degree * vcs; ++slot) {
+          const int in_port = slot == 0 ? -1 : (slot - 1) / vcs;
+          const int in_vc = slot == 0 ? -1 : (slot - 1) % vcs;
+          for (int dest = 0; dest < topo.num_tiles(); ++dest) {
+            if (dest == node) continue;
+            const auto expected =
+                filter_sort_xy(topo, vcs, node, in_port, in_vc, dest);
+            const auto actual = routing->route(node, in_port, in_vc, dest);
+            ASSERT_EQ(actual.size(), expected.size())
+                << topo.name() << " vcs " << vcs << " node " << node
+                << " in_port " << in_port << " in_vc " << in_vc << " dest "
+                << dest;
+            for (std::size_t i = 0; i < expected.size(); ++i) {
+              EXPECT_EQ(actual[i].out_port, expected[i].out_port);
+              EXPECT_EQ(actual[i].vc_begin, expected[i].vc_begin);
+              EXPECT_EQ(actual[i].vc_end, expected[i].vc_end);
+            }
+            ++states;
+          }
+        }
+      }
+      EXPECT_GT(states, 0);
+    }
+  }
+}
+
+/// route() writes at most max_candidates() entries on every state: the
+/// buffer is padded with sentinels past the bound, and they must survive.
+void expect_count_within_bound(const topo::Topology& topo,
+                               const RoutingFunction& routing, int num_vcs) {
+  const std::size_t bound = routing.max_candidates();
+  ASSERT_GE(bound, 1u);
+  constexpr std::size_t kPad = 8;
+  const RouteCandidate sentinel{-7, -7, -7};
+  std::vector<RouteCandidate> buffer(bound + kPad);
+  std::size_t widest = 0;
+  for (int node = 0; node < topo.num_tiles(); ++node) {
+    const int degree = topo.graph().degree(node);
+    for (int slot = 0; slot < 1 + degree * num_vcs; ++slot) {
+      const int in_port = slot == 0 ? -1 : (slot - 1) / num_vcs;
+      const int in_vc = slot == 0 ? -1 : (slot - 1) % num_vcs;
+      for (int dest = 0; dest < topo.num_tiles(); ++dest) {
+        if (dest == node) continue;
+        std::fill(buffer.begin(), buffer.end(), sentinel);
+        std::size_t count = 0;
+        try {
+          count = routing.route(node, in_port, in_vc, dest, buffer);
+        } catch (const Error&) {
+          continue;  // state the routing function rejects as unreachable
+        }
+        ASSERT_LE(count, bound) << routing.name() << " node " << node
+                                << " in_port " << in_port << " dest " << dest;
+        for (std::size_t i = bound; i < buffer.size(); ++i) {
+          ASSERT_EQ(buffer[i].out_port, sentinel.out_port) << routing.name();
+        }
+        widest = std::max(widest, count);
+      }
+    }
+  }
+  EXPECT_GE(widest, 1u) << routing.name();
+}
+
+TEST(RoutingBound, CandidateCountNeverExceedsBound) {
+  for (const auto& topo :
+       {topo::make_mesh(5, 5), topo::make_torus(4, 5),
+        topo::make_folded_torus(5, 4), topo::make_flattened_butterfly(4, 5),
+        topo::make_sparse_hamming(6, 6, {2, 4}, {3}),
+        topo::make_ruche(6, 6, 2, 3)}) {
+    for (const int vcs : {2, 4}) {
+      expect_count_within_bound(topo, *make_xy_hamming_routing(topo, vcs),
+                                vcs);
+    }
+    expect_count_within_bound(topo, *make_ugal_routing(topo, 4, 11), 4);
+  }
+  expect_count_within_bound(topo::make_mesh(4, 4),
+                            *make_xy_hamming_routing(topo::make_mesh(4, 4), 1),
+                            1);
+  const auto ring = topo::make_ring(4, 4);
+  expect_count_within_bound(ring, *make_ring_routing(ring, 2), 2);
+  const auto cube = topo::make_hypercube(4, 4);
+  expect_count_within_bound(cube, *make_ecube_routing(cube, 2), 2);
+  const auto slim = topo::make_slim_noc(5, 10);
+  expect_count_within_bound(slim, *make_table_escape_routing(slim, 4), 4);
+  expect_count_within_bound(slim, *make_ugal_routing(slim, 4, 11), 4);
 }
 
 }  // namespace
