@@ -18,23 +18,25 @@
 //  4. sim_cycle    — full simulation cycle loop routing live (no table) vs
 //     from a shared, verified route table, asserting bit-identical
 //     SimResults;
-//  5. dse_greedy_incremental — the whole greedy customization with full
-//     per-candidate re-screening vs the incremental ScreeningContext reuse
-//     (delta-BFS + routing context at their defaults), asserting
-//     bit-identical winners, metrics and history and running the
-//     incremental-vs-full screening oracle. Acceptance bar: >= 1.5x;
+//  5. dse_greedy_incremental — the whole greedy customization: a bench-local
+//     copy of the greedy loop re-screening every neighbour with
+//     screen_candidate (the per-candidate path the library no longer has)
+//     vs customize_greedy, asserting bit-identical winners, metrics and
+//     history and running the incremental-vs-full screening oracle.
+//     Acceptance bar: >= 1.5x;
 //  6. route_table_dedup — bytes of the deduplicated route-table CSR vs the
 //     one-range-per-row layout it replaced (sim equivalence is covered by
 //     the sim_cycle gate, which runs with the deduplicated table);
-//  7. dse_greedy_routing_incremental — the greedy customization with
-//     delta-BFS reuse but per-candidate from-scratch channel routing (the
-//     screening stack of the PR before incremental routing) vs the full
-//     reuse stack (phys::RoutingContext suffix replay + topology-free
+//  7. dse_greedy_routing_incremental — the same bench-local greedy loop
+//     with a row-repair screener (delta-BFS repair of the parent's rows,
+//     per-candidate from-scratch channel routing on the materialized
+//     child: the screening stack before incremental routing) vs
+//     customize_greedy (phys::RoutingContext suffix replay + topology-free
 //     child pricing). Runs the channel-router differential oracle
 //     (repaired loads bit-identical to global_route_loads over random
-//     skip-insertion trajectories), the screening equivalence oracle with
-//     routing reuse on, and asserts bit-identical search winners/history
-//     between the two configurations. Acceptance bar: >= 2x.
+//     skip-insertion trajectories), the screening equivalence oracle, and
+//     asserts bit-identical search winners/history between the two.
+//     Acceptance bar: >= 2x.
 //  8. dse_session_warm — the full greedy customization against a fresh
 //     persistent session (cold: every candidate is a cache miss and gets
 //     screened + stored) vs re-invoking it against the now-populated
@@ -54,14 +56,18 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <functional>
 #include <limits>
 #include <memory>
 #include <queue>
+#include <set>
 #include <string>
 #include <vector>
 
 #include "gates.hpp"
+#include "shg/common/parallel.hpp"
 #include "shg/common/prng.hpp"
+#include "shg/common/strings.hpp"
 #include "shg/customize/incremental.hpp"
 #include "shg/customize/search.hpp"
 #include "shg/customize/session.hpp"
@@ -160,6 +166,241 @@ customize::CandidateMetrics legacy_screen_candidate(
       (static_cast<double>(topo.num_tiles()) * metrics.avg_hops);
   return metrics;
 }
+
+/// Screens one greedy neighbourhood: the metrics of every entry of `batch`,
+/// each the accepted parameterization `parent` plus one skip distance (or,
+/// for the start, `parent` itself).
+using NeighbourhoodScreener = std::function<std::vector<
+    customize::CandidateMetrics>(const topo::ShgParams& parent,
+                                 const std::vector<topo::ShgParams>& batch)>;
+
+/// customize_greedy's loop before the search had one screening path, with
+/// the screening of each neighbourhood supplied by the caller (no session).
+/// The mesh start is screened as a one-entry neighbourhood of itself.
+/// Selection, history notes and the final report are the library's, so a
+/// correct screener reproduces customize_greedy bit for bit.
+customize::SearchResult reference_greedy(const tech::ArchParams& arch,
+                                         const customize::Goal& goal,
+                                         const NeighbourhoodScreener& screen) {
+  customize::SearchResult result;
+  result.metrics = screen(result.params, {result.params}).front();
+  result.history.push_back(customize::SearchStep{
+      result.params, result.metrics,
+      "start: mesh (" + customize::fmt_skip_sets(result.params) + ")"});
+  while (true) {
+    std::vector<topo::ShgParams> batch;
+    for (int x = 2; x < arch.cols; ++x) {
+      if (result.params.row_skips.count(x) != 0) continue;
+      topo::ShgParams candidate = result.params;
+      candidate.row_skips.insert(x);
+      batch.push_back(std::move(candidate));
+    }
+    for (int x = 2; x < arch.rows; ++x) {
+      if (result.params.col_skips.count(x) != 0) continue;
+      topo::ShgParams candidate = result.params;
+      candidate.col_skips.insert(x);
+      batch.push_back(std::move(candidate));
+    }
+    const std::vector<customize::CandidateMetrics> screened =
+        screen(result.params, batch);
+    const std::size_t pick =
+        customize::select_greedy_candidate(result.metrics, screened, goal);
+    if (pick == customize::kNoCandidate) break;
+    result.params = batch[pick];
+    result.metrics = screened[pick];
+    result.history.push_back(customize::SearchStep{
+        result.params, result.metrics,
+        "accepted " + customize::fmt_skip_sets(result.params) +
+            " (overhead " +
+            fmt_double(100.0 * result.metrics.area_overhead, 1) +
+            "%, throughput bound " +
+            fmt_double(result.metrics.throughput_bound, 3) + ")"});
+  }
+  result.cost = model::evaluate_cost(
+      arch, topo::make_sparse_hamming(arch.rows, arch.cols,
+                                      result.params.row_skips,
+                                      result.params.col_skips));
+  return result;
+}
+
+/// The per-candidate screener (section 5's baseline): every neighbour is
+/// screened from scratch with screen_candidate, in parallel.
+std::vector<customize::CandidateMetrics> screen_each_candidate(
+    const tech::ArchParams& arch, const std::vector<topo::ShgParams>& batch) {
+  std::vector<customize::CandidateMetrics> metrics(batch.size());
+  parallel_for(batch.size(), [&](std::size_t i) {
+    metrics[i] = customize::screen_candidate(arch, batch[i]);
+  });
+  return metrics;
+}
+
+/// The delta-BFS screener that preceded channel-routing reuse (section 7's
+/// baseline). It caches the accepted parameterization's per-source BFS rows
+/// with their histograms and aggregates (the first call sweeps them from
+/// scratch); each child, the parent itself included, materializes its
+/// topology, repairs a copy of the rows with
+/// graph::update_distances_add_edges and is priced by a from-scratch
+/// channel route (evaluate_screening_cost on the topology). Accepting a
+/// step repairs the cached rows without re-pricing the accepted child.
+class RowRepairScreener {
+ public:
+  explicit RowRepairScreener(const tech::ArchParams& arch) : arch_(&arch) {}
+
+  std::vector<customize::CandidateMetrics> operator()(
+      const topo::ShgParams& parent,
+      const std::vector<topo::ShgParams>& batch) {
+    if (!keyed_) {
+      sweep(parent);
+    } else if (!(parent == parent_)) {
+      Rows rows;
+      repair(make_topology(parent), parent, &rows);
+      parent_ = parent;
+      rows_ = std::move(rows);
+    }
+    std::vector<customize::CandidateMetrics> metrics(batch.size());
+    parallel_for(batch.size(), [&](std::size_t i) {
+      const topo::Topology topo = make_topology(batch[i]);
+      const Accum acc = repair(topo, batch[i], nullptr);
+      metrics[i] = make_metrics(topo, acc);
+    });
+    return metrics;
+  }
+
+ private:
+  struct Rows {
+    std::vector<int> dist;  ///< dist[src * n + node]
+    std::vector<int> hist;  ///< hist[src * n + d]
+    std::vector<graph::DistRowStats> stats;
+  };
+  struct Accum {
+    int diameter = 0;
+    long long total = 0;
+    long long reachable_pairs = 0;
+    void add_row(const graph::DistRowStats& row) {
+      total += row.sum;
+      reachable_pairs += row.reachable;
+      if (row.max > diameter) diameter = row.max;
+    }
+  };
+
+  static std::vector<int> skip_delta(const std::set<int>& parent,
+                                     const std::set<int>& child) {
+    std::vector<int> delta;
+    for (int x : child) {
+      if (parent.count(x) == 0) delta.push_back(x);
+    }
+    SHG_REQUIRE(delta.size() == child.size() - parent.size(),
+                "row-repair screening requires a skip superset");
+    return delta;
+  }
+
+  topo::Topology make_topology(const topo::ShgParams& params) const {
+    return topo::make_sparse_hamming(arch_->rows, arch_->cols,
+                                     params.row_skips, params.col_skips);
+  }
+
+  customize::CandidateMetrics make_metrics(const topo::Topology& topo,
+                                           const Accum& acc) const {
+    const model::ScreeningCost cost =
+        model::evaluate_screening_cost(*arch_, topo, nullptr);
+    const long long n = topo.graph().num_nodes();
+    SHG_REQUIRE(acc.reachable_pairs == n * n,
+                "screening requires a connected topology");
+    customize::CandidateMetrics metrics;
+    metrics.area_overhead = cost.area_overhead;
+    const long long pairs = acc.reachable_pairs - n;
+    if (pairs > 0) {
+      metrics.avg_hops =
+          static_cast<double>(acc.total) / static_cast<double>(pairs);
+    }
+    metrics.diameter = static_cast<double>(acc.diameter);
+    const double directed_links = 2.0 * topo.graph().num_edges();
+    metrics.throughput_bound =
+        directed_links /
+        (static_cast<double>(topo.num_tiles()) * metrics.avg_hops);
+    return metrics;
+  }
+
+  /// Full sweep of the first parent (the context construction).
+  void sweep(const topo::ShgParams& params) {
+    const topo::Topology topo = make_topology(params);
+    const int n = topo.graph().num_nodes();
+    const std::size_t cells = static_cast<std::size_t>(n) * n;
+    rows_.dist.resize(cells);
+    rows_.hist.assign(cells, 0);
+    rows_.stats.assign(static_cast<std::size_t>(n), graph::DistRowStats{});
+    graph::BfsWorkspace ws;
+    for (graph::NodeId s = 0; s < n; ++s) {
+      graph::bfs_distances(topo.graph(), s, ws);
+      const std::size_t base = static_cast<std::size_t>(s) * n;
+      graph::DistRowStats& row = rows_.stats[static_cast<std::size_t>(s)];
+      for (int v = 0; v < n; ++v) {
+        const int d = ws.dist[static_cast<std::size_t>(v)];
+        rows_.dist[base + static_cast<std::size_t>(v)] = d;
+        if (d == graph::kUnreachable) continue;
+        row.sum += d;
+        ++row.reachable;
+        if (d > row.max) row.max = d;
+        ++rows_.hist[base + static_cast<std::size_t>(d)];
+      }
+    }
+    parent_ = params;
+    keyed_ = true;
+  }
+
+  /// Repairs a copy of the cached rows for `child` (a skip superset of
+  /// parent_, materialized as `topo`) and folds their aggregates;
+  /// `capture`, when given, receives the repaired rows.
+  Accum repair(const topo::Topology& topo, const topo::ShgParams& child,
+               Rows* capture) const {
+    const std::vector<int> new_rows =
+        skip_delta(parent_.row_skips, child.row_skips);
+    const std::vector<int> new_cols =
+        skip_delta(parent_.col_skips, child.col_skips);
+    std::vector<graph::Edge> new_edges;
+    topo::for_each_skip_link(
+        arch_->rows, arch_->cols, new_rows, new_cols,
+        [&](topo::TileCoord a, topo::TileCoord b) {
+          new_edges.push_back(graph::Edge{topo.node(a.row, a.col),
+                                          topo.node(b.row, b.col)});
+        });
+    const graph::Graph& g = topo.graph();
+    const int n = g.num_nodes();
+    Accum acc;
+    graph::BfsWorkspace ws;
+    ws.resize(n);
+    std::vector<int> hist_row(static_cast<std::size_t>(n));
+    if (capture != nullptr) {
+      capture->dist.resize(static_cast<std::size_t>(n) * n);
+      capture->hist.resize(static_cast<std::size_t>(n) * n);
+      capture->stats.resize(static_cast<std::size_t>(n));
+    }
+    for (graph::NodeId s = 0; s < n; ++s) {
+      const std::size_t base = static_cast<std::size_t>(s) * n;
+      std::copy(rows_.dist.begin() + base, rows_.dist.begin() + base + n,
+                ws.dist.begin());
+      std::copy(rows_.hist.begin() + base, rows_.hist.begin() + base + n,
+                hist_row.begin());
+      graph::DistRowStats row = rows_.stats[static_cast<std::size_t>(s)];
+      graph::update_distances_add_edges(g, new_edges, ws, hist_row.data(),
+                                        row);
+      acc.add_row(row);
+      if (capture != nullptr) {
+        std::copy(ws.dist.begin(), ws.dist.begin() + n,
+                  capture->dist.begin() + base);
+        std::copy(hist_row.begin(), hist_row.end(),
+                  capture->hist.begin() + base);
+        capture->stats[static_cast<std::size_t>(s)] = row;
+      }
+    }
+    return acc;
+  }
+
+  const tech::ArchParams* arch_;
+  bool keyed_ = false;
+  topo::ShgParams parent_;
+  Rows rows_;
+};
 
 // ---------------------------------------------------------------------------
 // Benchmark plumbing
@@ -390,15 +631,16 @@ bool same_search_result(const customize::SearchResult& a,
   return true;
 }
 
-// 5. Greedy DSE end to end: full re-screening vs incremental delta-BFS
-// reuse, plus the screening equivalence oracle on a mixed batch.
+// 5. Greedy DSE end to end: the bench-local greedy loop re-screening every
+// neighbour with screen_candidate vs customize_greedy, plus the screening
+// equivalence oracle on a mixed batch.
 BenchResult bench_dse_greedy_incremental(bool* equivalent) {
   const tech::ArchParams arch = fabric_10x10();
   const customize::Goal goal{0.40};
-  // Unlike the other sections this one gates CI on a 1.5x bar with a
-  // measured ~1.6-1.7x, so the ratio uses the min over several timed reps
-  // per side — min-of-k rejects co-tenant noise spikes on shared CI
-  // runners that a single (or summed) measurement would absorb.
+  // This section gates CI on a 1.5x bar and measured 1.4-7.0x over ten
+  // smoke runs on a shared 4-core box; the ratio uses the min over several
+  // timed reps per side — min-of-k rejects co-tenant noise spikes on
+  // shared CI runners that a single (or summed) measurement would absorb.
   const int reps = 3;
 
   // Oracle: the first greedy neighborhood (mesh + every single skip) plus a
@@ -430,17 +672,16 @@ BenchResult bench_dse_greedy_incremental(bool* equivalent) {
                 std::to_string(reps) + "; oracle " +
                 std::string(oracle_ok ? "ok" : "MISMATCH");
 
-  customize::SearchOptions full_opts;
-  full_opts.incremental = false;
-  customize::SearchOptions inc_opts;
-  inc_opts.incremental = true;
-
-  customize::SearchResult full_result = customize::customize_greedy(
-      arch, goal, full_opts);  // warm-up + reference
+  const NeighbourhoodScreener per_candidate =
+      [&](const topo::ShgParams&, const std::vector<topo::ShgParams>& batch) {
+        return screen_each_candidate(arch, batch);
+      };
+  customize::SearchResult full_result =
+      reference_greedy(arch, goal, per_candidate);  // warm-up + reference
   result.old_seconds = std::numeric_limits<double>::infinity();
   for (int r = 0; r < reps; ++r) {
     const auto t0 = Clock::now();
-    full_result = customize::customize_greedy(arch, goal, full_opts);
+    full_result = reference_greedy(arch, goal, per_candidate);
     result.old_seconds = std::min(result.old_seconds, seconds_since(t0));
   }
 
@@ -448,7 +689,7 @@ BenchResult bench_dse_greedy_incremental(bool* equivalent) {
   result.new_seconds = std::numeric_limits<double>::infinity();
   for (int r = 0; r < reps; ++r) {
     const auto t0 = Clock::now();
-    inc_result = customize::customize_greedy(arch, goal, inc_opts);
+    inc_result = customize::customize_greedy(arch, goal);
     result.new_seconds = std::min(result.new_seconds, seconds_since(t0));
   }
 
@@ -456,14 +697,16 @@ BenchResult bench_dse_greedy_incremental(bool* equivalent) {
   return result;
 }
 
-// 7. Greedy DSE with the previous incremental screening stack (delta-BFS
-// reuse, from-scratch channel routing per candidate) vs the full reuse
-// stack (routing context suffix replay + topology-free child pricing).
+// 7. Greedy DSE with the bench-local delta-BFS screener (row repair,
+// from-scratch channel routing per candidate) vs customize_greedy's one
+// screening path (routing context suffix replay + topology-free child
+// pricing).
 BenchResult bench_dse_greedy_routing_incremental(bool* equivalent) {
   const tech::ArchParams arch = fabric_10x10();
   const customize::Goal goal{0.40};
-  // Min-of-5: this section gates CI at 2x with a measured ~2.5-3x, and
-  // both sides are short (milliseconds) — extra reps cost nothing and
+  // Min-of-5: this section gates CI at 2x and measured 1.5-2.9x over ten
+  // smoke runs on a shared 4-core box (below the bar on six of them).
+  // Both sides are short (milliseconds), so extra reps cost nothing and
   // reject co-tenant noise spikes a min-of-3 occasionally lets through.
   const int reps = 5;
 
@@ -510,7 +753,7 @@ BenchResult bench_dse_greedy_routing_incremental(bool* equivalent) {
     }
   }
 
-  // Screening equivalence oracle with the routing context on.
+  // Screening equivalence oracle.
   std::vector<topo::ShgParams> oracle_batch;
   oracle_batch.push_back(topo::ShgParams{});
   for (int x = 2; x < arch.cols; ++x) {
@@ -519,33 +762,27 @@ BenchResult bench_dse_greedy_routing_incremental(bool* equivalent) {
   oracle_batch.push_back(topo::ShgParams{{3, 6}, {4}});
   oracle_batch.push_back(topo::ShgParams{{2}, {2, 5}});
   try {
-    customize::verify_incremental_equivalence(
-        arch, oracle_batch, customize::ScreeningOptions{true});
+    customize::verify_incremental_equivalence(arch, oracle_batch);
   } catch (const Error& e) {
     oracle_ok = false;
-    std::fprintf(stderr, "screening oracle (routing on): %s\n", e.what());
+    std::fprintf(stderr, "screening oracle: %s\n", e.what());
   }
 
   BenchResult result;
   result.name = "dse_greedy_routing_incremental";
   result.ops = 1;  // seconds are min-of-reps for ONE full search
-  result.note = "greedy 10x10, delta-BFS baseline vs +routing ctx, min of " +
+  result.note = "greedy 10x10, row-repair baseline vs customize_greedy, "
+                "min of " +
                 std::to_string(reps) + "; oracle " +
                 std::string(oracle_ok ? "ok" : "MISMATCH");
 
-  customize::SearchOptions baseline_opts;  // the pre-routing-context stack
-  baseline_opts.incremental = true;
-  baseline_opts.incremental_routing = false;
-  customize::SearchOptions routing_opts;
-  routing_opts.incremental = true;
-  routing_opts.incremental_routing = true;
-
+  // A fresh screener per run: its row cache is keyed to one trajectory.
   customize::SearchResult baseline_result =
-      customize::customize_greedy(arch, goal, baseline_opts);  // warm-up
+      reference_greedy(arch, goal, RowRepairScreener(arch));  // warm-up
   result.old_seconds = std::numeric_limits<double>::infinity();
   for (int r = 0; r < reps; ++r) {
     const auto t0 = Clock::now();
-    baseline_result = customize::customize_greedy(arch, goal, baseline_opts);
+    baseline_result = reference_greedy(arch, goal, RowRepairScreener(arch));
     result.old_seconds = std::min(result.old_seconds, seconds_since(t0));
   }
 
@@ -553,7 +790,7 @@ BenchResult bench_dse_greedy_routing_incremental(bool* equivalent) {
   result.new_seconds = std::numeric_limits<double>::infinity();
   for (int r = 0; r < reps; ++r) {
     const auto t0 = Clock::now();
-    routing_result = customize::customize_greedy(arch, goal, routing_opts);
+    routing_result = customize::customize_greedy(arch, goal);
     result.new_seconds = std::min(result.new_seconds, seconds_since(t0));
   }
 
@@ -712,7 +949,7 @@ int main(int argc, char** argv) {
   std::printf("sim results identical (shared table vs live): %s\n",
               results_identical ? "yes" : "NO — BUG");
   std::printf(
-      "incremental DSE identical (context on vs off + oracle): %s\n",
+      "incremental DSE identical (per-candidate reference + oracle): %s\n",
       incremental_identical ? "yes" : "NO — BUG");
   std::printf(
       "incremental routing identical (loads + search + oracle): %s\n",

@@ -49,10 +49,10 @@
 //    to the routine (cache.cpp) and the perturb-every-field unit test
 //    enforce totality.
 //  * Screening-mode domain separation: every key mixes a version/mode tag.
-//    All current screening paths are exact (bit-identical to a fresh
-//    `screen_candidate` / `screen_topology` run) and share one tag; a
-//    future non-exact mode (e.g. relaxed routing) must use a new tag so its
-//    values can never be served to an exact caller.
+//    There is one screening path and it is exact (bit-identical to a fresh
+//    `screen_candidate` / `screen_topology` run), so all screening keys
+//    share one tag; any change to what a cached value means must use a new
+//    tag so old values can never be served in its place.
 //
 // `FingerprintLruCache<Value>` is the store itself: an LRU-bounded hash map
 // from fingerprint to a fixed-size value. `CandidateCache` (screening

@@ -70,6 +70,15 @@ CandidateMetrics make_metrics(const model::ScreeningCost& cost,
   return metrics;
 }
 
+/// Per-node degrees of `g`, the base screen_child bumps for child radices.
+std::vector<int> node_degrees(const graph::Graph& g) {
+  std::vector<int> degrees(static_cast<std::size_t>(g.num_nodes()));
+  for (graph::NodeId u = 0; u < g.num_nodes(); ++u) {
+    degrees[static_cast<std::size_t>(u)] = g.degree(u);
+  }
+  return degrees;
+}
+
 /// Skip distances present in `child` but not `parent`; throws unless the
 /// child is a superset (edge deletions are not repairable by relaxation).
 std::vector<int> skip_delta(const std::set<int>& parent,
@@ -89,21 +98,20 @@ std::vector<int> skip_delta(const std::set<int>& parent,
 struct ScreeningContext::ChildScreen {
   topo::Topology topo;
   CandidateMetrics metrics;
-  /// Captured per-source state; empty unless requested.
+  /// The child's per-source state, repaired from the parent's.
   std::vector<int> dist;
   std::vector<int> hist;
   std::vector<graph::DistRowStats> row_stats;
 };
 
 ScreeningContext::ScreeningContext(const tech::ArchParams& arch,
-                                   const topo::ShgParams& params,
-                                   const ScreeningOptions& options)
+                                   const topo::ShgParams& params)
     : arch_(&arch),
-      options_(options),
       params_(params),
       topo_(topo::make_sparse_hamming(arch.rows, arch.cols, params.row_skips,
-                                      params.col_skips)) {
-  refresh_reuse_state();
+                                      params.col_skips)),
+      routing_(topo_),
+      degrees_(node_degrees(topo_.graph())) {
   const graph::Graph& g = topo_.graph();
   const int n = g.num_nodes();
   const std::size_t cells =
@@ -122,34 +130,32 @@ ScreeningContext::ScreeningContext(const tech::ArchParams& arch,
                     row_stats_[static_cast<std::size_t>(s)]);
     acc.add_row(row_stats_[static_cast<std::size_t>(s)]);
   }
-  // With the routing context built, its parent loads feed the cost model
-  // directly (same arithmetic, bit-identical areas) instead of a second
-  // from-scratch route of the same topology.
+  // The routing context's parent loads feed the cost model directly (same
+  // arithmetic, bit-identical areas) instead of a second from-scratch route
+  // of the same topology.
   const model::ScreeningCost cost =
-      routing_.has_value()
-          ? model::evaluate_screening_cost(arch, topo_.radix(),
-                                           routing_->loads())
-          : model::evaluate_screening_cost(arch, topo_);
+      model::evaluate_screening_cost(arch, topo_.radix(), routing_.loads());
   metrics_ = make_metrics(cost, acc, topo_);
 }
 
-void ScreeningContext::refresh_reuse_state() {
-  const graph::Graph& g = topo_.graph();
-  degrees_.resize(static_cast<std::size_t>(g.num_nodes()));
-  for (graph::NodeId u = 0; u < g.num_nodes(); ++u) {
-    degrees_[static_cast<std::size_t>(u)] = g.degree(u);
-  }
-  if (options_.incremental_routing) {
-    routing_.emplace(topo_);
-  } else {
-    routing_.reset();
-  }
-}
+ScreeningContext::ScreeningContext(const tech::ArchParams* arch,
+                                   topo::ShgParams params, topo::Topology topo,
+                                   std::vector<int> dist, std::vector<int> hist,
+                                   std::vector<graph::DistRowStats> row_stats,
+                                   const CandidateMetrics& metrics)
+    : arch_(arch),
+      params_(std::move(params)),
+      topo_(std::move(topo)),
+      routing_(topo_),
+      degrees_(node_degrees(topo_.graph())),
+      dist_(std::move(dist)),
+      hist_(std::move(hist)),
+      row_stats_(std::move(row_stats)),
+      metrics_(metrics) {}
 
 ScreeningContext::ChildScreen ScreeningContext::screen_impl(
     const topo::ShgParams& child, model::TileGeometryCache* tile_cache,
-    bool capture_rows, const CandidateMetrics* known_metrics,
-    bool need_metrics) const {
+    const CandidateMetrics* known_metrics, bool need_metrics) const {
   const std::vector<int> new_row_skips =
       skip_delta(params_.row_skips, child.row_skips, "row");
   const std::vector<int> new_col_skips =
@@ -163,11 +169,9 @@ ScreeningContext::ChildScreen ScreeningContext::screen_impl(
                   {}};
   if (new_row_skips.empty() && new_col_skips.empty()) {
     out.metrics = metrics_;
-    if (capture_rows) {
-      out.dist = dist_;
-      out.hist = hist_;
-      out.row_stats = row_stats_;
-    }
+    out.dist = dist_;
+    out.hist = hist_;
+    out.row_stats = row_stats_;
     return out;
   }
 
@@ -190,11 +194,9 @@ ScreeningContext::ChildScreen ScreeningContext::screen_impl(
   graph::BfsWorkspace ws;
   ws.resize(n);
   std::vector<int> hist_row(static_cast<std::size_t>(n));
-  if (capture_rows) {
-    out.dist.resize(cells);
-    out.hist.resize(cells);
-    out.row_stats.resize(static_cast<std::size_t>(n));
-  }
+  out.dist.resize(cells);
+  out.hist.resize(cells);
+  out.row_stats.resize(static_cast<std::size_t>(n));
   for (graph::NodeId s = 0; s < n; ++s) {
     const std::size_t base = static_cast<std::size_t>(s) * n;
     std::copy(dist_.begin() + base, dist_.begin() + base + n,
@@ -204,11 +206,9 @@ ScreeningContext::ChildScreen ScreeningContext::screen_impl(
     graph::DistRowStats row = row_stats_[static_cast<std::size_t>(s)];
     graph::update_distances_add_edges(g, new_edges, ws, hist_row.data(), row);
     acc.add_row(row);
-    if (capture_rows) {
-      std::copy(ws.dist.begin(), ws.dist.begin() + n, out.dist.begin() + base);
-      std::copy(hist_row.begin(), hist_row.end(), out.hist.begin() + base);
-      out.row_stats[static_cast<std::size_t>(s)] = row;
-    }
+    std::copy(ws.dist.begin(), ws.dist.begin() + n, out.dist.begin() + base);
+    std::copy(hist_row.begin(), hist_row.end(), out.hist.begin() + base);
+    out.row_stats[static_cast<std::size_t>(s)] = row;
   }
   if (known_metrics != nullptr) {
     // The caller screened this exact child already (screen_child during
@@ -216,34 +216,19 @@ ScreeningContext::ChildScreen ScreeningContext::screen_impl(
     // screening cost — would only reproduce the same bits.
     out.metrics = *known_metrics;
   } else if (need_metrics) {
-    // With a routing context available, price the child from a suffix
-    // repair of the parent's loads (bit-identical to the from-scratch
-    // route the topology overload would run) — rebase/derive pricing then
-    // shares the hot path's step-2 reuse.
-    model::ScreeningCost cost;
-    if (routing_.has_value()) {
-      const phys::GlobalRoutingResult loads =
-          routing_->route_child_loads(out.topo);
-      cost = model::evaluate_screening_cost(*arch_, out.topo.radix(), loads,
-                                            tile_cache);
-    } else {
-      cost = model::evaluate_screening_cost(*arch_, out.topo, tile_cache);
-    }
+    // Price the child from a suffix repair of the parent's loads
+    // (bit-identical to a from-scratch route of the child) — rebase/derive
+    // pricing shares screen_child's step-2 reuse.
+    const phys::GlobalRoutingResult loads =
+        routing_.route_child_loads(out.topo);
+    const model::ScreeningCost cost = model::evaluate_screening_cost(
+        *arch_, out.topo.radix(), loads, tile_cache);
     out.metrics = make_metrics(cost, acc, out.topo);
   }
   return out;
 }
 
 CandidateMetrics ScreeningContext::screen_child(
-    const topo::ShgParams& child, model::TileGeometryCache* tile_cache,
-    Workspace* ws) const {
-  if (routing_.has_value()) {
-    return screen_child_fast(child, tile_cache, ws);
-  }
-  return screen_impl(child, tile_cache, /*capture_rows=*/false).metrics;
-}
-
-CandidateMetrics ScreeningContext::screen_child_fast(
     const topo::ShgParams& child, model::TileGeometryCache* tile_cache,
     Workspace* ws) const {
   const std::vector<int> new_row_skips =
@@ -288,7 +273,7 @@ CandidateMetrics ScreeningContext::screen_child_fast(
 
   // Channel loads: suffix replay against the parent's routing context —
   // bit-identical to global_route_loads on the materialized child.
-  routing_->route_child_loads(new_row_skips, new_col_skips, &ws->loads);
+  routing_.route_child_loads(new_row_skips, new_col_skips, &ws->loads);
   const model::ScreeningCost cost =
       model::evaluate_screening_cost(*arch_, radix, ws->loads, tile_cache);
 
@@ -312,37 +297,37 @@ CandidateMetrics ScreeningContext::screen_child_fast(
 
 void ScreeningContext::rebase(const topo::ShgParams& child,
                               const CandidateMetrics* known_metrics) {
-  ChildScreen screened =
-      screen_impl(child, nullptr, /*capture_rows=*/true, known_metrics);
+  ChildScreen screened = screen_impl(child, nullptr, known_metrics,
+                                     /*need_metrics=*/true);
   params_ = child;
   topo_ = std::move(screened.topo);
+  routing_ = phys::RoutingContext(topo_);
+  degrees_ = node_degrees(topo_.graph());
   dist_ = std::move(screened.dist);
   hist_ = std::move(screened.hist);
   row_stats_ = std::move(screened.row_stats);
   metrics_ = screened.metrics;
-  refresh_reuse_state();
 }
 
 ScreeningContext ScreeningContext::derive(const topo::ShgParams& child,
                                           model::TileGeometryCache* tile_cache,
                                           bool need_metrics) const {
-  ChildScreen screened = screen_impl(child, tile_cache, /*capture_rows=*/true,
-                                     nullptr, need_metrics);
-  return ScreeningContext(arch_, options_, child, std::move(screened.topo),
+  ChildScreen screened =
+      screen_impl(child, tile_cache, /*known_metrics=*/nullptr, need_metrics);
+  return ScreeningContext(arch_, child, std::move(screened.topo),
                           std::move(screened.dist), std::move(screened.hist),
                           std::move(screened.row_stats), screened.metrics);
 }
 
 TopologyScreeningContext::TopologyScreeningContext(
     const tech::ArchParams& arch, topo::Topology parent)
-    : arch_(&arch), parent_(std::move(parent)), routing_(parent_) {
+    : arch_(&arch),
+      parent_(std::move(parent)),
+      routing_(parent_),
+      degrees_(node_degrees(parent_.graph())) {
   SHG_REQUIRE(parent_.rows() == arch.rows && parent_.cols() == arch.cols,
               "parent topology grid does not match the architecture");
   const graph::Graph& g = parent_.graph();
-  degrees_.resize(static_cast<std::size_t>(g.num_nodes()));
-  for (graph::NodeId u = 0; u < g.num_nodes(); ++u) {
-    degrees_[static_cast<std::size_t>(u)] = g.degree(u);
-  }
   // The routing run doubles as cost-model step 2 for the parent: the
   // radix+loads overload runs the same step 1/3/4 arithmetic as the
   // topology overload (pinned bit-identical in tests/cost_model_test.cpp),
@@ -476,8 +461,7 @@ struct Trie {
 }  // namespace
 
 std::vector<CandidateMetrics> screen_batch_incremental(
-    const tech::ArchParams& arch, const std::vector<topo::ShgParams>& batch,
-    const ScreeningOptions& options) {
+    const tech::ArchParams& arch, const std::vector<topo::ShgParams>& batch) {
   std::vector<CandidateMetrics> out(batch.size());
   if (batch.empty()) return out;
 
@@ -496,7 +480,7 @@ std::vector<CandidateMetrics> screen_batch_incremental(
     for (std::size_t b : node.batch_indices) out[b] = metrics;
   };
 
-  // Per-worker scratch: geometry memo plus the fast path's workspace.
+  // Per-worker scratch: geometry memo plus screen_child's workspace.
   struct Scratch {
     model::TileGeometryCache tile_cache;
     ScreeningContext::Workspace ws;
@@ -531,7 +515,7 @@ std::vector<CandidateMetrics> screen_batch_incremental(
   // subtrees fan out via a second one. Output slots are disjoint
   // throughout, so the result is deterministic per the parallel_for
   // contract.
-  const ScreeningContext root_ctx(arch, nodes[0].params, options);
+  const ScreeningContext root_ctx(arch, nodes[0].params);
   record(nodes[0], root_ctx.metrics());
 
   struct Task {
@@ -575,10 +559,9 @@ std::vector<CandidateMetrics> screen_batch_incremental(
 }
 
 std::vector<CandidateMetrics> verify_incremental_equivalence(
-    const tech::ArchParams& arch, const std::vector<topo::ShgParams>& batch,
-    const ScreeningOptions& options) {
+    const tech::ArchParams& arch, const std::vector<topo::ShgParams>& batch) {
   const std::vector<CandidateMetrics> incremental =
-      screen_batch_incremental(arch, batch, options);
+      screen_batch_incremental(arch, batch);
   std::vector<CandidateMetrics> full(batch.size());
   parallel_for(batch.size(), [&](std::size_t i) {
     full[i] = screen_candidate(arch, batch[i]);

@@ -20,10 +20,9 @@
 //    `model::TileGeometryCache` recomputes it only when a candidate's radix
 //    actually changed.
 //
-//  * Routing reuse (ScreeningOptions::incremental_routing, default on). A
-//    naive patch of cached channel loads would not be bit-identical — the
-//    greedy router assigns channels longest-link-first with
-//    congestion-dependent tie-breaks, so a new skip link can legally
+//  * Routing reuse. A naive patch of cached channel loads would not be
+//    bit-identical — the greedy router assigns channels longest-link-first
+//    with congestion-dependent tie-breaks, so a new skip link can legally
 //    re-route previously placed links. `phys::RoutingContext` instead
 //    replays the divergent length-class suffix of the greedy order from a
 //    recorded boundary snapshot, which IS bit-identical (see
@@ -56,10 +55,11 @@
 //
 //  * Exactness. Every screening API in this header is EXACT: metrics are
 //    bit-identical to `screen_candidate` / `screen_topology` on the
-//    materialized child, for any combination of options (the oracle and
-//    the randomized trajectory tests enforce it). Nothing here has a
-//    bounded-error mode; the only bounded-error path in the codebase is
-//    `phys::RoutingOptions::relaxed`, which no screening flow uses.
+//    materialized child (the oracle and the randomized trajectory tests
+//    enforce it). There is one screening path and no option selects
+//    another: the search engines, the explorer and the session-cached
+//    batches all run the stack above, and `screen_candidate` remains only
+//    as the correctness reference.
 //  * Concurrency. `ScreeningContext::screen_child` and
 //    `TopologyScreeningContext::screen_child` are const and safe to call
 //    concurrently on ONE shared context, provided each caller passes its
@@ -71,7 +71,6 @@
 //    from one thread and let them own the fan-out.
 #pragma once
 
-#include <optional>
 #include <vector>
 
 #include "shg/customize/search.hpp"
@@ -80,31 +79,18 @@
 
 namespace shg::customize {
 
-/// Knobs of the incremental screening engine.
-struct ScreeningOptions {
-  /// Channel-router reuse (phys::RoutingContext) plus the topology-free
-  /// child evaluation it unlocks: children are priced from the parent graph
-  /// with an edge overlay (bit-parallel all-pairs sweep) and repaired
-  /// channel loads, never materializing a child Topology. Metrics are
-  /// bit-identical either way (oracle-tested); off preserves the previous
-  /// per-child path — fresh `global_route_loads` and a per-row delta-BFS
-  /// repair — for equivalence tests and as the benchmark baseline.
-  bool incremental_routing = true;
-};
-
 /// Cached screening state of one parent parameterization.
 class ScreeningContext {
  public:
-  /// Full screen of `params`: one all-pairs sweep plus cost steps 1-4. The
-  /// context keeps a pointer to `arch`, which must outlive it.
+  /// Full screen of `params`: one all-pairs sweep, one channel-routing run
+  /// (kept as the routing context) and cost steps 1-4. The context keeps a
+  /// pointer to `arch`, which must outlive it.
   ScreeningContext(const tech::ArchParams& arch,
-                   const topo::ShgParams& params,
-                   const ScreeningOptions& options = {});
+                   const topo::ShgParams& params);
 
   const topo::ShgParams& params() const { return params_; }
-  const ScreeningOptions& screening_options() const { return options_; }
 
-  /// Per-caller scratch for screen_child's fast path; reusing one across
+  /// Per-caller scratch for screen_child; reusing one across
   /// children keeps its heap allocations warm. One per thread when
   /// screening concurrently (see parallel_for_with_worker).
   struct Workspace {
@@ -119,12 +105,12 @@ class ScreeningContext {
   /// `screen_candidate(arch, params())`.
   const CandidateMetrics& metrics() const { return metrics_; }
 
-  /// Screens `child`, whose skip sets must be supersets of `params()`.
-  /// With incremental routing on this runs the topology-free fast path
-  /// (edge-overlay bit sweep + channel-load repair); otherwise it repairs a
-  /// copy of the cached distance rows and routes from scratch. Either way
-  /// the result is bit-identical to `screen_candidate(arch, child)`. Safe
-  /// to call concurrently on one context; `tile_cache` and `ws` (both
+  /// Screens `child`, whose skip sets must be supersets of `params()`,
+  /// without materializing it: an edge-overlay bit sweep over the parent
+  /// graph for the hop metrics, bumped parent degrees for the radix and a
+  /// suffix replay of the routing context for the channel loads. The
+  /// result is bit-identical to `screen_candidate(arch, child)`. Safe to
+  /// call concurrently on one context; `tile_cache` and `ws` (both
   /// optional) must then be per-caller.
   CandidateMetrics screen_child(const topo::ShgParams& child,
                                 model::TileGeometryCache* tile_cache =
@@ -151,44 +137,25 @@ class ScreeningContext {
                           bool need_metrics = true) const;
 
  private:
+  /// rebase/derive's step: the materialized child with its repaired rows.
   struct ChildScreen;
   ChildScreen screen_impl(const topo::ShgParams& child,
                           model::TileGeometryCache* tile_cache,
-                          bool capture_rows,
-                          const CandidateMetrics* known_metrics = nullptr,
-                          bool need_metrics = true) const;
-  CandidateMetrics screen_child_fast(const topo::ShgParams& child,
-                                     model::TileGeometryCache* tile_cache,
-                                     Workspace* ws) const;
-  /// Rebuilds the reuse state derived from topo_ (the routing context and
-  /// the per-node degrees the fast path bumps for child radices); called
-  /// after every re-keying of the context.
-  void refresh_reuse_state();
+                          const CandidateMetrics* known_metrics,
+                          bool need_metrics) const;
 
-  ScreeningContext(const tech::ArchParams* arch,
-                   const ScreeningOptions& options, topo::ShgParams params,
+  ScreeningContext(const tech::ArchParams* arch, topo::ShgParams params,
                    topo::Topology topo, std::vector<int> dist,
                    std::vector<int> hist,
                    std::vector<graph::DistRowStats> row_stats,
-                   const CandidateMetrics& metrics)
-      : arch_(arch),
-        options_(options),
-        params_(std::move(params)),
-        topo_(std::move(topo)),
-        dist_(std::move(dist)),
-        hist_(std::move(hist)),
-        row_stats_(std::move(row_stats)),
-        metrics_(metrics) {
-    refresh_reuse_state();
-  }
+                   const CandidateMetrics& metrics);
 
   const tech::ArchParams* arch_;
-  ScreeningOptions options_;
   topo::ShgParams params_;
   topo::Topology topo_;
-  /// Fast-path reuse state, rebuilt with topo_: the parent's incremental
-  /// router (absent when incremental routing is off) and per-node degrees.
-  std::optional<phys::RoutingContext> routing_;
+  /// Reuse state rebuilt with topo_: the parent's incremental router and
+  /// the per-node degrees screen_child bumps for child radices.
+  phys::RoutingContext routing_;
   std::vector<int> degrees_;
   /// Per-source cached state, all row-major n x n (plus one stats entry per
   /// source): the distance rows the repair starts from, the per-row
@@ -262,15 +229,13 @@ class TopologyScreeningContext {
 /// screened as stepping stones. Parallelises over prefix subtrees via
 /// `parallel_for`; the output is deterministic regardless of worker count.
 std::vector<CandidateMetrics> screen_batch_incremental(
-    const tech::ArchParams& arch, const std::vector<topo::ShgParams>& batch,
-    const ScreeningOptions& options = {});
+    const tech::ArchParams& arch, const std::vector<topo::ShgParams>& batch);
 
-/// Equivalence oracle: screens `batch` incrementally (under `options`) and
-/// with the full per-candidate path, and throws shg::Error naming the first
-/// candidate whose metrics are not bit-identical. Returns the (verified)
-/// incremental metrics.
+/// Equivalence oracle: screens `batch` incrementally and with the full
+/// per-candidate path (`screen_candidate`), and throws shg::Error naming the
+/// first candidate whose metrics are not bit-identical. Returns the
+/// (verified) incremental metrics.
 std::vector<CandidateMetrics> verify_incremental_equivalence(
-    const tech::ArchParams& arch, const std::vector<topo::ShgParams>& batch,
-    const ScreeningOptions& options = {});
+    const tech::ArchParams& arch, const std::vector<topo::ShgParams>& batch);
 
 }  // namespace shg::customize

@@ -62,13 +62,12 @@ struct SearchResult {
   std::vector<SearchStep> history;
 };
 
-/// Knobs of the search engines. `incremental` turns on the delta-BFS
-/// screening reuse (customize/incremental.hpp); `incremental_routing`
-/// additionally reuses the parent's channel routing and prices children
-/// without materializing their topologies (phys/incremental_route.hpp) —
-/// it has no effect with `incremental` off. Results are bit-identical with
-/// any combination (oracle-tested); the flags exist for the equivalence
-/// tests and the benchmark's old-vs-new comparisons.
+/// Options of the search engines. Screening always runs the incremental
+/// stack (customize/incremental.hpp): delta-BFS row reuse, the parent's
+/// channel routing replayed per child (phys/incremental_route.hpp) and
+/// topology-free child pricing. It is exact — bit-identical to
+/// `screen_candidate` on every candidate (oracle-tested) — so there is no
+/// switch back to per-candidate screening.
 ///
 /// `session` (default off) attaches a persistent DSE session
 /// (customize/session.hpp): candidates whose fingerprints hit the
@@ -79,8 +78,6 @@ struct SearchResult {
 /// notes included; oracle-tested). The session is read and written on the
 /// calling thread only.
 struct SearchOptions {
-  bool incremental = true;
-  bool incremental_routing = true;
   Session* session = nullptr;  ///< not owned; must outlive the call
 };
 
@@ -90,7 +87,9 @@ struct SearchOptions {
 /// empty sets render as the literal "{}").
 std::string fmt_skip_sets(const topo::ShgParams& params);
 
-/// Computes the screening metrics of one parameterization.
+/// Computes the screening metrics of one parameterization from scratch: the
+/// correctness reference every incremental screening path is checked
+/// against.
 CandidateMetrics screen_candidate(const tech::ArchParams& arch,
                                   const topo::ShgParams& params);
 

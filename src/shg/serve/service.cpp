@@ -320,10 +320,12 @@ Request Service::parse_request(const std::string& line) const {
         }
         request.arch = resolve_scenario(request.scenario);
         if (const JsonValue* v = doc.find("max_area_overhead")) {
+          // The bound customize_greedy enforces, checked here so an
+          // out-of-range budget fails at parse time, not mid-run.
           request.max_area_overhead = v->as_double();
           SHG_REQUIRE(request.max_area_overhead > 0.0 &&
-                          request.max_area_overhead <= 10.0,
-                      "\"max_area_overhead\" must lie in (0, 10]");
+                          request.max_area_overhead < 1.0,
+                      "\"max_area_overhead\" must lie in (0, 1)");
         }
         break;
       }
@@ -446,7 +448,7 @@ std::vector<Response> Service::execute_screen_batch(
   std::string batch_error;
   try {
     metrics = customize::screen_batch_cached(batch.front().arch, params,
-                                             session_, true, {}, &stats);
+                                             session_, &stats);
   } catch (const std::exception& e) {
     batch_error = e.what();
   }

@@ -10,7 +10,7 @@
 //
 //   screen     {"scenario": "a".."d"|"mempool"?, "row_skips": [int...]?,
 //               "col_skips": [int...]?}
-//   customize  {"scenario": ...?, "max_area_overhead": number?}
+//   customize  {"scenario": ...?, "max_area_overhead": number in (0, 1)?}
 //   experiment {"grid": "RxC"?, "traffic": [string...]?,
 //               "rates": [number...]?, "seeds": int?, "smoke": bool?,
 //               "routing": "minimal"|"ugal"?}

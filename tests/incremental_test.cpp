@@ -1,13 +1,17 @@
 // Incremental-vs-full screening equivalence (customize/incremental.hpp):
 // delta-BFS repair must match fresh sweeps bit-for-bit, and every search
-// surface (greedy, exhaustive, explore) must return identical results with
-// the incremental context on and off.
+// surface (greedy, exhaustive, explore) must return what a test-local
+// reference that screens each candidate with screen_candidate returns.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <set>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "shg/common/prng.hpp"
+#include "shg/common/strings.hpp"
 #include "shg/customize/explore.hpp"
 #include "shg/customize/incremental.hpp"
 #include "shg/customize/search.hpp"
@@ -149,175 +153,204 @@ TEST(ScreeningContext, RejectsNonSupersetChildren) {
 
 TEST(ScreeningBatch, RandomBatchesMatchFullScreening) {
   const ArchParams arch = knc_scenario(KncScenario::kA);
-  Prng prng(42);
-  std::vector<topo::ShgParams> batch;
-  batch.push_back(topo::ShgParams{});  // the mesh
-  for (int i = 0; i < 24; ++i) {
-    topo::ShgParams params;
-    for (int x = 2; x < arch.cols; ++x) {
-      if (prng.chance(0.3)) params.row_skips.insert(x);
+  for (const auto& [seed, size] : {std::pair<std::uint64_t, int>{42, 24},
+                                   std::pair<std::uint64_t, int>{7, 16}}) {
+    Prng prng(seed);
+    std::vector<topo::ShgParams> batch;
+    batch.push_back(topo::ShgParams{});  // the mesh
+    for (int i = 0; i < size; ++i) {
+      topo::ShgParams params;
+      for (int x = 2; x < arch.cols; ++x) {
+        if (prng.chance(0.3)) params.row_skips.insert(x);
+      }
+      for (int x = 2; x < arch.rows; ++x) {
+        if (prng.chance(0.3)) params.col_skips.insert(x);
+      }
+      batch.push_back(std::move(params));
     }
-    for (int x = 2; x < arch.rows; ++x) {
-      if (prng.chance(0.3)) params.col_skips.insert(x);
-    }
-    batch.push_back(std::move(params));
-  }
-  batch.push_back(batch[3]);  // duplicates must screen consistently
+    batch.push_back(batch[3]);  // duplicates must screen consistently
 
-  const std::vector<CandidateMetrics> incremental =
-      screen_batch_incremental(arch, batch);
-  ASSERT_EQ(incremental.size(), batch.size());
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    expect_same_metrics(incremental[i], screen_candidate(arch, batch[i]));
+    const std::vector<CandidateMetrics> incremental =
+        screen_batch_incremental(arch, batch);
+    ASSERT_EQ(incremental.size(), batch.size());
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      expect_same_metrics(incremental[i], screen_candidate(arch, batch[i]));
+    }
+    // The oracle wraps exactly this comparison and must agree.
+    EXPECT_NO_THROW(verify_incremental_equivalence(arch, batch));
   }
-  // The oracle wraps exactly this comparison and must agree.
-  EXPECT_NO_THROW(verify_incremental_equivalence(arch, batch));
 }
 
-TEST(ScreeningContext, RoutingReuseBitIdenticalToRowRepairPath) {
-  // The topology-free fast path (routing context + overlay bit sweep) and
-  // the row-repair path must produce the same bits candidate by candidate,
-  // and both must match screen_candidate.
+TEST(ScreeningContext, ScratchAndRebaseMatchScreenCandidate) {
+  // screen_child with reused per-caller scratch (workspace and tile-geometry
+  // memo) must match screen_candidate candidate by candidate, the parent
+  // itself included.
   const ArchParams arch = knc_scenario(KncScenario::kA);
   const topo::ShgParams parent{{3}, {2}};
-  const ScreeningContext with_routing(arch, parent, ScreeningOptions{true});
-  const ScreeningContext without_routing(arch, parent,
-                                         ScreeningOptions{false});
-  expect_same_metrics(with_routing.metrics(), without_routing.metrics());
+  const ScreeningContext ctx(arch, parent);
+  expect_same_metrics(ctx.metrics(), screen_candidate(arch, parent));
   ScreeningContext::Workspace ws;
   model::TileGeometryCache tile_cache;
   for (const topo::ShgParams& child :
        {topo::ShgParams{{3, 4}, {2}}, topo::ShgParams{{3}, {2, 6}},
         topo::ShgParams{{3, 5, 7}, {2, 4}}, parent}) {
-    const CandidateMetrics fast =
-        with_routing.screen_child(child, &tile_cache, &ws);
-    expect_same_metrics(fast, without_routing.screen_child(child));
-    expect_same_metrics(fast, screen_candidate(arch, child));
+    expect_same_metrics(ctx.screen_child(child, &tile_cache, &ws),
+                        screen_candidate(arch, child));
   }
-  // Non-superset children are rejected on both paths.
-  EXPECT_THROW(with_routing.screen_child(topo::ShgParams{}), Error);
-  // Rebase keeps the routing context keyed to the new parent.
-  ScreeningContext rebased(arch, parent, ScreeningOptions{true});
+  EXPECT_THROW(ctx.screen_child(topo::ShgParams{}, &tile_cache, &ws), Error);
+  // Rebase keeps the routing context keyed to the new parent, with and
+  // without known metrics.
+  ScreeningContext rebased(arch, parent);
   rebased.rebase(topo::ShgParams{{3, 4}, {2}});
+  expect_same_metrics(rebased.metrics(),
+                      screen_candidate(arch, topo::ShgParams{{3, 4}, {2}}));
   expect_same_metrics(
       rebased.screen_child(topo::ShgParams{{3, 4}, {2, 6}}),
       screen_candidate(arch, topo::ShgParams{{3, 4}, {2, 6}}));
+  const CandidateMetrics known =
+      screen_candidate(arch, topo::ShgParams{{3, 4, 6}, {2}});
+  rebased.rebase(topo::ShgParams{{3, 4, 6}, {2}}, &known);
+  expect_same_metrics(rebased.metrics(), known);
+  expect_same_metrics(
+      rebased.screen_child(topo::ShgParams{{3, 4, 6}, {2, 5}}),
+      screen_candidate(arch, topo::ShgParams{{3, 4, 6}, {2, 5}}));
 }
 
-TEST(ScreeningBatch, RoutingReuseTogglesBitIdentical) {
-  const ArchParams arch = knc_scenario(KncScenario::kA);
-  Prng prng(7);
-  std::vector<topo::ShgParams> batch;
-  batch.push_back(topo::ShgParams{});
-  for (int i = 0; i < 16; ++i) {
-    topo::ShgParams params;
+/// The greedy search written out with screen_candidate as its only
+/// screener: the oracle customize_greedy must reproduce bit for bit.
+SearchResult reference_greedy(const ArchParams& arch, const Goal& goal) {
+  SearchResult result;
+  result.metrics = screen_candidate(arch, result.params);
+  result.history.push_back(
+      SearchStep{result.params, result.metrics,
+                 "start: mesh (" + fmt_skip_sets(result.params) + ")"});
+  while (true) {
+    std::vector<topo::ShgParams> batch;
     for (int x = 2; x < arch.cols; ++x) {
-      if (prng.chance(0.3)) params.row_skips.insert(x);
+      if (result.params.row_skips.count(x) != 0) continue;
+      topo::ShgParams candidate = result.params;
+      candidate.row_skips.insert(x);
+      batch.push_back(std::move(candidate));
     }
     for (int x = 2; x < arch.rows; ++x) {
-      if (prng.chance(0.3)) params.col_skips.insert(x);
+      if (result.params.col_skips.count(x) != 0) continue;
+      topo::ShgParams candidate = result.params;
+      candidate.col_skips.insert(x);
+      batch.push_back(std::move(candidate));
     }
-    batch.push_back(std::move(params));
+    std::vector<CandidateMetrics> screened;
+    for (const topo::ShgParams& candidate : batch) {
+      screened.push_back(screen_candidate(arch, candidate));
+    }
+    const std::size_t pick =
+        select_greedy_candidate(result.metrics, screened, goal);
+    if (pick == kNoCandidate) break;
+    result.params = batch[pick];
+    result.metrics = screened[pick];
+    result.history.push_back(SearchStep{
+        result.params, result.metrics,
+        "accepted " + fmt_skip_sets(result.params) + " (overhead " +
+            fmt_double(100.0 * result.metrics.area_overhead, 1) +
+            "%, throughput bound " +
+            fmt_double(result.metrics.throughput_bound, 3) + ")"});
   }
-  const auto with_routing =
-      screen_batch_incremental(arch, batch, ScreeningOptions{true});
-  const auto without_routing =
-      screen_batch_incremental(arch, batch, ScreeningOptions{false});
-  ASSERT_EQ(with_routing.size(), without_routing.size());
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    expect_same_metrics(with_routing[i], without_routing[i]);
-    expect_same_metrics(with_routing[i], screen_candidate(arch, batch[i]));
-  }
-  EXPECT_NO_THROW(
-      verify_incremental_equivalence(arch, batch, ScreeningOptions{true}));
-  EXPECT_NO_THROW(
-      verify_incremental_equivalence(arch, batch, ScreeningOptions{false}));
+  result.cost = model::evaluate_cost(
+      arch, topo::make_sparse_hamming(arch.rows, arch.cols,
+                                      result.params.row_skips,
+                                      result.params.col_skips));
+  return result;
 }
 
-TEST(Greedy, RoutingReuseIdenticalOnAndOff) {
+TEST(Greedy, MatchesPerCandidateReference) {
   const ArchParams arch = knc_scenario(KncScenario::kA);
-  SearchOptions routing_off;
-  routing_off.incremental = true;
-  routing_off.incremental_routing = false;
-  SearchOptions routing_on;
-  routing_on.incremental = true;
-  routing_on.incremental_routing = true;
   for (double budget : {0.15, 0.40}) {
-    expect_same_search_result(
-        customize_greedy(arch, Goal{budget}, routing_off),
-        customize_greedy(arch, Goal{budget}, routing_on));
+    const SearchResult reference = reference_greedy(arch, Goal{budget});
+    // The budgets must exercise real trajectories, not just the mesh.
+    EXPECT_GE(reference.history.size(), 2u) << "budget " << budget;
+    expect_same_search_result(customize_greedy(arch, Goal{budget}),
+                              reference);
   }
 }
 
-TEST(Exhaustive, RoutingReuseIdenticalOnAndOff) {
-  const ArchParams arch = knc_scenario(KncScenario::kA);
-  SearchOptions routing_off;
-  routing_off.incremental_routing = false;
-  SearchOptions routing_on;
-  expect_same_search_result(
-      customize_exhaustive(arch, Goal{0.30}, {2, 3, 4}, {2, 3}, routing_off),
-      customize_exhaustive(arch, Goal{0.30}, {2, 3, 4}, {2, 3}, routing_on));
-}
-
-TEST(Explore, RoutingReuseIdenticalOnAndOff) {
-  const ArchParams arch = knc_scenario(KncScenario::kA);
-  ExploreOptions routing_off;
-  routing_off.incremental_routing = false;
-  ExploreOptions routing_on;
-  for (auto explore : {explore_shg, explore_ruche}) {
-    const auto a = explore(arch, routing_off);
-    const auto b = explore(arch, routing_on);
-    ASSERT_EQ(a.size(), b.size());
-    for (std::size_t i = 0; i < a.size(); ++i) {
-      EXPECT_EQ(a[i].params, b[i].params);
-      EXPECT_EQ(a[i].label, b[i].label);
-      expect_same_metrics(a[i].metrics, b[i].metrics);
+/// Every subset of the candidate skips screened with screen_candidate; the
+/// winner has the highest throughput bound, then the lowest avg hops, then
+/// the earliest mask (row mask outer, column mask inner).
+SearchResult reference_exhaustive(const ArchParams& arch, const Goal& goal,
+                                  const std::vector<int>& rows,
+                                  const std::vector<int>& cols) {
+  SearchResult best;
+  bool have_best = false;
+  for (std::size_t rm = 0; rm < (std::size_t{1} << rows.size()); ++rm) {
+    for (std::size_t cm = 0; cm < (std::size_t{1} << cols.size()); ++cm) {
+      topo::ShgParams params;
+      for (std::size_t i = 0; i < rows.size(); ++i) {
+        if ((rm >> i) & 1) params.row_skips.insert(rows[i]);
+      }
+      for (std::size_t i = 0; i < cols.size(); ++i) {
+        if ((cm >> i) & 1) params.col_skips.insert(cols[i]);
+      }
+      const CandidateMetrics metrics = screen_candidate(arch, params);
+      if (metrics.area_overhead > goal.max_area_overhead) continue;
+      const bool better =
+          !have_best ||
+          metrics.throughput_bound > best.metrics.throughput_bound ||
+          (metrics.throughput_bound == best.metrics.throughput_bound &&
+           metrics.avg_hops < best.metrics.avg_hops);
+      if (better) {
+        have_best = true;
+        best.params = params;
+        best.metrics = metrics;
+      }
     }
   }
+  best.cost = model::evaluate_cost(
+      arch, topo::make_sparse_hamming(arch.rows, arch.cols,
+                                      best.params.row_skips,
+                                      best.params.col_skips));
+  best.history.push_back(SearchStep{best.params, best.metrics, "exhaustive"});
+  return best;
 }
 
-TEST(Greedy, IncrementalIdenticalToFull) {
+TEST(Exhaustive, MatchesPerCandidateReference) {
   const ArchParams arch = knc_scenario(KncScenario::kA);
-  SearchOptions full;
-  full.incremental = false;
-  SearchOptions incremental;
-  incremental.incremental = true;
-  for (double budget : {0.15, 0.40}) {
-    expect_same_search_result(
-        customize_greedy(arch, Goal{budget}, full),
-        customize_greedy(arch, Goal{budget}, incremental));
-  }
-}
-
-TEST(Exhaustive, IncrementalIdenticalToFull) {
-  const ArchParams arch = knc_scenario(KncScenario::kA);
-  SearchOptions full;
-  full.incremental = false;
-  SearchOptions incremental;
-  incremental.incremental = true;
   expect_same_search_result(
-      customize_exhaustive(arch, Goal{0.30}, {2, 3, 4}, {2, 3}, full),
-      customize_exhaustive(arch, Goal{0.30}, {2, 3, 4}, {2, 3}, incremental));
+      customize_exhaustive(arch, Goal{0.30}, {2, 3, 4}, {2, 3}),
+      reference_exhaustive(arch, Goal{0.30}, {2, 3, 4}, {2, 3}));
   // Unsorted candidate lists exercise the canonical element ordering.
   expect_same_search_result(
-      customize_exhaustive(arch, Goal{0.35}, {5, 2}, {4, 3}, full),
-      customize_exhaustive(arch, Goal{0.35}, {5, 2}, {4, 3}, incremental));
+      customize_exhaustive(arch, Goal{0.35}, {5, 2}, {4, 3}),
+      reference_exhaustive(arch, Goal{0.35}, {5, 2}, {4, 3}));
 }
 
-TEST(Explore, IncrementalIdenticalToFull) {
+TEST(Explore, MatchesPerCandidateReference) {
   const ArchParams arch = knc_scenario(KncScenario::kA);
-  ExploreOptions full;
-  full.incremental = false;
-  ExploreOptions incremental;
-  incremental.incremental = true;
-  for (auto explore : {explore_shg, explore_ruche}) {
-    const auto a = explore(arch, full);
-    const auto b = explore(arch, incremental);
-    ASSERT_EQ(a.size(), b.size());
-    for (std::size_t i = 0; i < a.size(); ++i) {
-      EXPECT_EQ(a[i].params, b[i].params);
-      EXPECT_EQ(a[i].label, b[i].label);
-      expect_same_metrics(a[i].metrics, b[i].metrics);
+  ExploreOptions options;
+  options.max_area_overhead = 0.15;  // tight enough that the filter bites
+  // 8x8 grid: SR/SC subsets of {2..7} with at most two elements (22 each)
+  // for SHG, at most one skip per dimension (7 each) for Ruche.
+  const std::pair<decltype(&explore_shg), std::size_t> families[] = {
+      {&explore_shg, 22u * 22u}, {&explore_ruche, 7u * 7u}};
+  for (const auto& [explore, enumerated] : families) {
+    ExploreOptions unfiltered = options;
+    unfiltered.max_area_overhead = 1e9;
+    const auto all = explore(arch, unfiltered);
+    ASSERT_EQ(all.size(), enumerated);
+    const auto points = explore(arch, options);
+    // The filter keeps exactly the enumerated points within the budget, in
+    // enumeration order.
+    std::vector<ExploredPoint> expected;
+    for (const ExploredPoint& p : all) {
+      expect_same_metrics(p.metrics, screen_candidate(arch, p.params));
+      if (p.metrics.area_overhead <= options.max_area_overhead) {
+        expected.push_back(p);
+      }
+    }
+    ASSERT_LT(expected.size(), all.size());
+    ASSERT_EQ(points.size(), expected.size());
+    for (std::size_t i = 0; i < points.size(); ++i) {
+      EXPECT_EQ(points[i].params, expected[i].params);
+      EXPECT_EQ(points[i].label, expected[i].label);
+      expect_same_metrics(points[i].metrics, expected[i].metrics);
     }
   }
 }

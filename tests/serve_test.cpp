@@ -134,6 +134,7 @@ TEST(Service, MalformedLinesAreInvalidNotFatal) {
       "{\"op\":\"experiment\",\"rates\":[2.0]}",    // rate out of (0,1]
       "{\"op\":\"experiment\",\"seeds\":0}",        // seeds < 1
       "{\"op\":\"customize\",\"max_area_overhead\":0}",
+      "{\"op\":\"customize\",\"max_area_overhead\":1.0}",  // lib needs < 1
   };
   for (const char* line : bad) {
     const Request request = service.parse_request(line);
@@ -146,6 +147,12 @@ TEST(Service, MalformedLinesAreInvalidNotFatal) {
     // Every reply is itself valid JSON.
     EXPECT_NO_THROW(JsonValue::parse(rendered)) << rendered;
   }
+  // A budget customize_greedy would reject fails at parse time, naming the
+  // field.
+  const Request budget = service.parse_request(
+      "{\"op\":\"customize\",\"max_area_overhead\":1.0}");
+  EXPECT_NE(budget.error.find("max_area_overhead"), std::string::npos)
+      << budget.error;
 }
 
 TEST(Service, ErrorRepliesKeepTheRequestId) {
