@@ -14,59 +14,28 @@ namespace shg::customize {
 
 namespace {
 
-/// Running all-pairs statistics, one update per source row. Sum, diameter
-/// and reachable count are exact integers, so accumulating them from
-/// per-row aggregates yields the same values as graph::distance_summary's
-/// per-pair fold — and therefore a bit-identical avg-hops division.
-struct SummaryAccum {
-  int diameter = 0;
-  long long total = 0;
-  long long reachable_pairs = 0;
-
-  void add_row(const graph::DistRowStats& row) {
-    total += row.sum;
-    reachable_pairs += row.reachable;
-    if (row.max > diameter) diameter = row.max;
-  }
-};
-
-/// Scans one freshly swept row into its histogram + aggregate form (the
-/// one-time cost at context construction; repairs keep both exact after
-/// that without re-scanning).
-void build_row_stats(const int* dist, int n, int* hist,
-                     graph::DistRowStats& row) {
-  std::fill(hist, hist + n, 0);
-  row = graph::DistRowStats{};
-  for (int v = 0; v < n; ++v) {
-    const int d = dist[v];
-    if (d == graph::kUnreachable) continue;
-    row.sum += d;
-    ++row.reachable;
-    if (d > row.max) row.max = d;
-    ++hist[d];
-  }
-}
-
-/// Assembles CandidateMetrics with the same expressions screen_candidate
-/// evaluates (same operands, same order — bit-identical doubles).
+/// Assembles CandidateMetrics with the expressions screen_topology evaluates
+/// (same operands, same order — bit-identical doubles) from the screening
+/// cost and the exact integer hop totals of a `num_nodes`-node,
+/// `num_edges`-edge candidate.
 CandidateMetrics make_metrics(const model::ScreeningCost& cost,
-                              const SummaryAccum& acc,
-                              const topo::Topology& topo) {
-  const long long n = topo.graph().num_nodes();
-  SHG_REQUIRE(acc.reachable_pairs == n * n,
+                              const graph::AllPairsTotals& totals,
+                              int num_nodes, long long num_edges,
+                              int num_tiles) {
+  const long long n = num_nodes;
+  SHG_REQUIRE(totals.reachable_pairs == n * n,
               "screening requires a connected topology");
   CandidateMetrics metrics;
   metrics.area_overhead = cost.area_overhead;
-  const long long pairs = acc.reachable_pairs - n;  // exclude (u, u)
+  const long long pairs = totals.reachable_pairs - n;  // exclude (u, u)
   if (pairs > 0) {
     metrics.avg_hops =
-        static_cast<double>(acc.total) / static_cast<double>(pairs);
+        static_cast<double>(totals.sum) / static_cast<double>(pairs);
   }
-  metrics.diameter = static_cast<double>(acc.diameter);
-  const double directed_links = 2.0 * topo.graph().num_edges();
+  metrics.diameter = static_cast<double>(totals.diameter);
+  const double directed_links = 2.0 * static_cast<double>(num_edges);
   metrics.throughput_bound =
-      directed_links /
-      (static_cast<double>(topo.num_tiles()) * metrics.avg_hops);
+      directed_links / (static_cast<double>(num_tiles) * metrics.avg_hops);
   return metrics;
 }
 
@@ -80,7 +49,7 @@ std::vector<int> node_degrees(const graph::Graph& g) {
 }
 
 /// Skip distances present in `child` but not `parent`; throws unless the
-/// child is a superset (edge deletions are not repairable by relaxation).
+/// child is a superset (the routing suffix replay only adds links).
 std::vector<int> skip_delta(const std::set<int>& parent,
                             const std::set<int>& child, const char* dim) {
   std::vector<int> delta;
@@ -93,139 +62,46 @@ std::vector<int> skip_delta(const std::set<int>& parent,
   return delta;
 }
 
-}  // namespace
+void require_superset(const topo::ShgParams& parent,
+                      const topo::ShgParams& child) {
+  skip_delta(parent.row_skips, child.row_skips, "row");
+  skip_delta(parent.col_skips, child.col_skips, "column");
+}
 
-struct ScreeningContext::ChildScreen {
-  topo::Topology topo;
-  CandidateMetrics metrics;
-  /// The child's per-source state, repaired from the parent's.
-  std::vector<int> dist;
-  std::vector<int> hist;
-  std::vector<graph::DistRowStats> row_stats;
-};
+}  // namespace
 
 ScreeningContext::ScreeningContext(const tech::ArchParams& arch,
                                    const topo::ShgParams& params)
+    : ScreeningContext(arch, params, nullptr, nullptr) {}
+
+ScreeningContext::ScreeningContext(const tech::ArchParams& arch,
+                                   const topo::ShgParams& params,
+                                   model::TileGeometryCache* tile_cache,
+                                   const CandidateMetrics* known_metrics)
     : arch_(&arch),
       params_(params),
       topo_(topo::make_sparse_hamming(arch.rows, arch.cols, params.row_skips,
                                       params.col_skips)),
       routing_(topo_),
       degrees_(node_degrees(topo_.graph())) {
-  const graph::Graph& g = topo_.graph();
-  const int n = g.num_nodes();
-  const std::size_t cells =
-      static_cast<std::size_t>(n) * static_cast<std::size_t>(n);
-  dist_.resize(cells);
-  hist_.resize(cells);
-  row_stats_.resize(static_cast<std::size_t>(n));
-  SummaryAccum acc;
-  graph::BfsWorkspace ws;
-  for (graph::NodeId s = 0; s < n; ++s) {
-    graph::bfs_distances(g, s, ws);
-    std::copy(ws.dist.begin(), ws.dist.begin() + n,
-              dist_.begin() + static_cast<std::size_t>(s) * n);
-    build_row_stats(ws.dist.data(), n,
-                    hist_.data() + static_cast<std::size_t>(s) * n,
-                    row_stats_[static_cast<std::size_t>(s)]);
-    acc.add_row(row_stats_[static_cast<std::size_t>(s)]);
-  }
-  // The routing context's parent loads feed the cost model directly (same
-  // arithmetic, bit-identical areas) instead of a second from-scratch route
-  // of the same topology.
-  const model::ScreeningCost cost =
-      model::evaluate_screening_cost(arch, topo_.radix(), routing_.loads());
-  metrics_ = make_metrics(cost, acc, topo_);
-}
-
-ScreeningContext::ScreeningContext(const tech::ArchParams* arch,
-                                   topo::ShgParams params, topo::Topology topo,
-                                   std::vector<int> dist, std::vector<int> hist,
-                                   std::vector<graph::DistRowStats> row_stats,
-                                   const CandidateMetrics& metrics)
-    : arch_(arch),
-      params_(std::move(params)),
-      topo_(std::move(topo)),
-      routing_(topo_),
-      degrees_(node_degrees(topo_.graph())),
-      dist_(std::move(dist)),
-      hist_(std::move(hist)),
-      row_stats_(std::move(row_stats)),
-      metrics_(metrics) {}
-
-ScreeningContext::ChildScreen ScreeningContext::screen_impl(
-    const topo::ShgParams& child, model::TileGeometryCache* tile_cache,
-    const CandidateMetrics* known_metrics, bool need_metrics) const {
-  const std::vector<int> new_row_skips =
-      skip_delta(params_.row_skips, child.row_skips, "row");
-  const std::vector<int> new_col_skips =
-      skip_delta(params_.col_skips, child.col_skips, "column");
-
-  ChildScreen out{topo::make_sparse_hamming(arch_->rows, arch_->cols,
-                                            child.row_skips, child.col_skips),
-                  CandidateMetrics{},
-                  {},
-                  {},
-                  {}};
-  if (new_row_skips.empty() && new_col_skips.empty()) {
-    out.metrics = metrics_;
-    out.dist = dist_;
-    out.hist = hist_;
-    out.row_stats = row_stats_;
-    return out;
-  }
-
-  // The links the new skip distances contribute, from the generator's own
-  // enumeration — the repair's new-edge list and the child graph's edge
-  // set come from one definition and cannot diverge.
-  std::vector<graph::Edge> new_edges;
-  topo::for_each_skip_link(
-      arch_->rows, arch_->cols, new_row_skips, new_col_skips,
-      [&](topo::TileCoord a, topo::TileCoord b) {
-        new_edges.push_back(graph::Edge{out.topo.node(a.row, a.col),
-                                        out.topo.node(b.row, b.col)});
-      });
-
-  const graph::Graph& g = out.topo.graph();
-  const int n = g.num_nodes();
-  const std::size_t cells =
-      static_cast<std::size_t>(n) * static_cast<std::size_t>(n);
-  SummaryAccum acc;
-  graph::BfsWorkspace ws;
-  ws.resize(n);
-  std::vector<int> hist_row(static_cast<std::size_t>(n));
-  out.dist.resize(cells);
-  out.hist.resize(cells);
-  out.row_stats.resize(static_cast<std::size_t>(n));
-  for (graph::NodeId s = 0; s < n; ++s) {
-    const std::size_t base = static_cast<std::size_t>(s) * n;
-    std::copy(dist_.begin() + base, dist_.begin() + base + n,
-              ws.dist.begin());
-    std::copy(hist_.begin() + base, hist_.begin() + base + n,
-              hist_row.begin());
-    graph::DistRowStats row = row_stats_[static_cast<std::size_t>(s)];
-    graph::update_distances_add_edges(g, new_edges, ws, hist_row.data(), row);
-    acc.add_row(row);
-    std::copy(ws.dist.begin(), ws.dist.begin() + n, out.dist.begin() + base);
-    std::copy(hist_row.begin(), hist_row.end(), out.hist.begin() + base);
-    out.row_stats[static_cast<std::size_t>(s)] = row;
-  }
   if (known_metrics != nullptr) {
-    // The caller screened this exact child already (screen_child during
-    // candidate ranking); re-running the cost model — the dominant
-    // screening cost — would only reproduce the same bits.
-    out.metrics = *known_metrics;
-  } else if (need_metrics) {
-    // Price the child from a suffix repair of the parent's loads
-    // (bit-identical to a from-scratch route of the child) — rebase/derive
-    // pricing shares screen_child's step-2 reuse.
-    const phys::GlobalRoutingResult loads =
-        routing_.route_child_loads(out.topo);
-    const model::ScreeningCost cost = model::evaluate_screening_cost(
-        *arch_, out.topo.radix(), loads, tile_cache);
-    out.metrics = make_metrics(cost, acc, out.topo);
+    // The caller screened this exact candidate already (screen_child
+    // during candidate ranking); pricing it again would only reproduce the
+    // same bits.
+    metrics_ = *known_metrics;
+    return;
   }
-  return out;
+  // The routing context's loads feed the cost model directly (same
+  // arithmetic, bit-identical areas) instead of a second from-scratch route
+  // of the same topology; the hop totals come from the two factor lines.
+  const model::ScreeningCost cost = model::evaluate_screening_cost(
+      arch, topo_.radix(), routing_.loads(), tile_cache);
+  metrics_ = make_metrics(
+      cost,
+      topo::shg_hop_totals(arch.rows, arch.cols, params_.row_skips,
+                           params_.col_skips),
+      topo_.graph().num_nodes(), topo_.graph().num_edges(),
+      topo_.num_tiles());
 }
 
 CandidateMetrics ScreeningContext::screen_child(
@@ -239,35 +115,19 @@ CandidateMetrics ScreeningContext::screen_child(
 
   Workspace local;
   if (ws == nullptr) ws = &local;
-  const graph::Graph& g = topo_.graph();
-  const int n = g.num_nodes();
 
-  // The links the new skip distances contribute, from the generator's own
-  // enumeration, with node ids on the parent grid (the child grid is the
-  // same — no child Topology exists on this path).
-  ws->new_edges.clear();
+  // Child radix: the parent degrees bumped at the endpoints of the links
+  // the new skip distances contribute, from the generator's own
+  // enumeration (no child Topology exists on this path).
+  ws->degrees.assign(degrees_.begin(), degrees_.end());
+  long long new_links = 0;
   topo::for_each_skip_link(
       arch_->rows, arch_->cols, new_row_skips, new_col_skips,
       [&](topo::TileCoord a, topo::TileCoord b) {
-        ws->new_edges.push_back(graph::Edge{topo_.node(a), topo_.node(b)});
+        ++ws->degrees[static_cast<std::size_t>(topo_.node(a))];
+        ++ws->degrees[static_cast<std::size_t>(topo_.node(b))];
+        ++new_links;
       });
-
-  // Distance metrics: bit-parallel all-pairs sweep over parent + overlay.
-  // Exact integer totals, so the assembled metrics match make_metrics /
-  // screen_candidate bit for bit.
-  ws->overlay.assign(n, ws->new_edges);
-  const graph::AllPairsTotals totals =
-      graph::all_pairs_totals(g, &ws->overlay, ws->bitsweep);
-  SHG_REQUIRE(totals.reachable_pairs ==
-                  static_cast<long long>(n) * static_cast<long long>(n),
-              "screening requires a connected topology");
-
-  // Child radix: the parent degrees bumped at the new links' endpoints.
-  ws->degrees.assign(degrees_.begin(), degrees_.end());
-  for (const graph::Edge& e : ws->new_edges) {
-    ++ws->degrees[static_cast<std::size_t>(e.u)];
-    ++ws->degrees[static_cast<std::size_t>(e.v)];
-  }
   int radix = 0;
   for (const int d : ws->degrees) radix = std::max(radix, d);
 
@@ -277,46 +137,25 @@ CandidateMetrics ScreeningContext::screen_child(
   const model::ScreeningCost cost =
       model::evaluate_screening_cost(*arch_, radix, ws->loads, tile_cache);
 
-  // Same expressions as make_metrics over the same integers.
-  CandidateMetrics metrics;
-  metrics.area_overhead = cost.area_overhead;
-  const long long pairs = totals.reachable_pairs - n;  // exclude (u, u)
-  if (pairs > 0) {
-    metrics.avg_hops =
-        static_cast<double>(totals.sum) / static_cast<double>(pairs);
-  }
-  metrics.diameter = static_cast<double>(totals.diameter);
-  const long long child_edges =
-      g.num_edges() + static_cast<long long>(ws->new_edges.size());
-  const double directed_links = 2.0 * static_cast<double>(child_edges);
-  metrics.throughput_bound =
-      directed_links /
-      (static_cast<double>(topo_.num_tiles()) * metrics.avg_hops);
-  return metrics;
+  // Hop metrics: exact integer totals of the child's two factor lines.
+  return make_metrics(
+      cost,
+      topo::shg_hop_totals(arch_->rows, arch_->cols, child.row_skips,
+                           child.col_skips),
+      topo_.graph().num_nodes(), topo_.graph().num_edges() + new_links,
+      topo_.num_tiles());
 }
 
 void ScreeningContext::rebase(const topo::ShgParams& child,
                               const CandidateMetrics* known_metrics) {
-  ChildScreen screened = screen_impl(child, nullptr, known_metrics,
-                                     /*need_metrics=*/true);
-  params_ = child;
-  topo_ = std::move(screened.topo);
-  routing_ = phys::RoutingContext(topo_);
-  degrees_ = node_degrees(topo_.graph());
-  dist_ = std::move(screened.dist);
-  hist_ = std::move(screened.hist);
-  row_stats_ = std::move(screened.row_stats);
-  metrics_ = screened.metrics;
+  require_superset(params_, child);
+  *this = ScreeningContext(*arch_, child, nullptr, known_metrics);
 }
 
-ScreeningContext ScreeningContext::derive(const topo::ShgParams& child,
-                                          model::TileGeometryCache* tile_cache,
-                                          bool need_metrics) const {
-  ChildScreen screened =
-      screen_impl(child, tile_cache, /*known_metrics=*/nullptr, need_metrics);
-  return ScreeningContext(arch_, child, std::move(screened.topo),
-                          std::move(screened.dist), std::move(screened.hist),
-                          std::move(screened.row_stats), screened.metrics);
+ScreeningContext ScreeningContext::derive(
+    const topo::ShgParams& child, model::TileGeometryCache* tile_cache) const {
+  require_superset(params_, child);
+  return ScreeningContext(*arch_, child, tile_cache, nullptr);
 }
 
 TopologyScreeningContext::TopologyScreeningContext(
@@ -381,9 +220,6 @@ CandidateMetrics TopologyScreeningContext::screen_child(
   ws->overlay.assign(n, new_edges);
   const graph::AllPairsTotals totals =
       graph::all_pairs_totals(g, &ws->overlay, ws->bitsweep);
-  SHG_REQUIRE(totals.reachable_pairs ==
-                  static_cast<long long>(n) * static_cast<long long>(n),
-              "screening requires a connected topology");
 
   // Child radix from bumped parent degrees.
   ws->degrees.assign(degrees_.begin(), degrees_.end());
@@ -401,31 +237,18 @@ CandidateMetrics TopologyScreeningContext::screen_child(
   const model::ScreeningCost cost =
       model::evaluate_screening_cost(*arch_, radix, ws->loads, tile_cache);
 
-  // Same expressions as make_metrics / screen_topology over the same
-  // integers.
-  CandidateMetrics metrics;
-  metrics.area_overhead = cost.area_overhead;
-  const long long pairs = totals.reachable_pairs - n;  // exclude (u, u)
-  if (pairs > 0) {
-    metrics.avg_hops =
-        static_cast<double>(totals.sum) / static_cast<double>(pairs);
-  }
-  metrics.diameter = static_cast<double>(totals.diameter);
-  const long long child_edges =
-      g.num_edges() + static_cast<long long>(new_edges.size());
-  const double directed_links = 2.0 * static_cast<double>(child_edges);
-  metrics.throughput_bound =
-      directed_links /
-      (static_cast<double>(parent_.num_tiles()) * metrics.avg_hops);
-  return metrics;
+  return make_metrics(
+      cost, totals, n,
+      g.num_edges() + static_cast<long long>(new_edges.size()),
+      parent_.num_tiles());
 }
 
 namespace {
 
 /// Prefix forest over a candidate batch: every node's parameterization is
 /// its parent's plus exactly one skip distance (canonical element order:
-/// row skips ascending, then column skips ascending), so a child context
-/// is always derivable from its parent by edge-addition repair.
+/// row skips ascending, then column skips ascending), so every child is a
+/// skip superset its parent's context can screen or derive.
 struct TrieNode {
   topo::ShgParams params;
   std::vector<std::size_t> batch_indices;  ///< batch entries equal to params
@@ -487,7 +310,7 @@ std::vector<CandidateMetrics> screen_batch_incremental(
   };
 
   // Recursive subtree walk: derive a context per interior node, screen
-  // leaves from the parent context without capturing rows.
+  // leaves from the parent context without building one.
   auto dfs = [&](auto&& self, const ScreeningContext& parent_ctx,
                  std::size_t node_id, Scratch& scratch) -> void {
     const TrieNode& node = nodes[node_id];
@@ -496,23 +319,21 @@ std::vector<CandidateMetrics> screen_batch_incremental(
                                            &scratch.ws));
       return;
     }
-    // Stepping-stone prefixes absent from the batch only exist to repair
-    // rows for their descendants — skip their cost model entirely.
-    const bool in_batch = !node.batch_indices.empty();
+    // A stepping-stone prefix absent from the batch records nothing; it
+    // only supplies the routing context its descendants replay from.
     const ScreeningContext ctx =
-        parent_ctx.derive(node.params, &scratch.tile_cache, in_batch);
-    if (in_batch) record(node, ctx.metrics());
+        parent_ctx.derive(node.params, &scratch.tile_cache);
+    record(node, ctx.metrics());
     for (std::size_t child : node.children) {
       self(self, ctx, child, scratch);
     }
   };
 
-  // One full sweep at the root; everything below is repair-only. The
-  // interior depth-1 contexts fan out via one parallel_for (each derive
-  // touches disjoint state and disjoint batch indices — a serial loop
-  // here would be an Amdahl bottleneck, one cost-model run per interior
-  // node before any subtree starts), then the depth-1 leaves and depth-2
-  // subtrees fan out via a second one. Output slots are disjoint
+  // One context at the root. The interior depth-1 contexts fan out via one
+  // parallel_for (each derive touches disjoint state and disjoint batch
+  // indices — a serial loop here would be an Amdahl bottleneck, one
+  // channel-routing run per interior node before any subtree starts), then
+  // the depth-1 leaves and depth-2 subtrees fan out via a second one. Output slots are disjoint
   // throughout, so the result is deterministic per the parallel_for
   // contract.
   const ScreeningContext root_ctx(arch, nodes[0].params);
@@ -540,10 +361,9 @@ std::vector<CandidateMetrics> screen_batch_incremental(
     parallel_for_with_worker(
         interior1.size(), [&](std::size_t i, std::size_t w) {
           const std::size_t c1 = interior1[i];
-          const bool in_batch = !nodes[c1].batch_indices.empty();
-          level1[i] = std::make_unique<ScreeningContext>(root_ctx.derive(
-              nodes[c1].params, &scratch[w].tile_cache, in_batch));
-          if (in_batch) record(nodes[c1], level1[i]->metrics());
+          level1[i] = std::make_unique<ScreeningContext>(
+              root_ctx.derive(nodes[c1].params, &scratch[w].tile_cache));
+          record(nodes[c1], level1[i]->metrics());
         });
   }
   for (std::size_t i = 0; i < interior1.size(); ++i) {

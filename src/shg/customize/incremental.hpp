@@ -1,19 +1,20 @@
-// Incremental DSE screening with delta-BFS reuse.
+// Incremental DSE screening.
 //
 // The customization flow (Section IV / V-a) screens neighborhoods of SHG
 // parameterizations that differ from a parent by exactly one skip distance,
 // yet `screen_candidate` re-runs a full all-pairs BFS sweep and cost-model
-// steps 1-4 for every neighbor. This module exploits the structure of that
-// neighborhood:
+// steps 1-4 for every neighbor. This module exploits the structure of the
+// SHG and of that neighborhood:
 //
-//  * Distance reuse. A `ScreeningContext` caches the parent candidate's
-//    per-source BFS distance rows. Adding a skip distance only ever ADDS
-//    edges, and added edges can only SHRINK hop distances, so each cached
-//    row is repaired by a bounded multi-source relaxation seeded at the new
-//    links' endpoints (`graph::update_distances_add_edges`) instead of a
-//    fresh sweep. Hop distances are unique, so the repaired rows — and the
-//    avg-hops / diameter / throughput-bound metrics folded over them in the
-//    same accumulation order — are bit-identical to `distance_summary`.
+//  * Hop metrics from the factor lines. Every row of an SHG carries the
+//    same skip set SR and every column the same SC, so the graph is the
+//    Cartesian product of one C-tile row line and one R-tile column line,
+//    and hop(u, v) is the sum of the two line distances.
+//    `topo::shg_hop_totals` therefore gets the exact all-pairs sum,
+//    diameter and reachable-pair count from two tiny line BFS runs
+//    (sum = R^2 * S_row + C^2 * S_col), with no per-node state. The totals
+//    are exact integers, so the avg-hops / diameter / throughput-bound
+//    metrics divided out of them are bit-identical to `distance_summary`.
 //
 //  * Tile-geometry reuse. The cost model assumes identical tiles sized for
 //    the worst-case radix, so step 1 is a pure function of the radix;
@@ -27,24 +28,22 @@
 //    replays the divergent length-class suffix of the greedy order from a
 //    recorded boundary snapshot, which IS bit-identical (see
 //    phys/incremental_route.hpp), and unlocks a topology-free child
-//    evaluation: hop metrics come from a bit-parallel all-pairs sweep over
-//    the parent graph plus an edge overlay, the radix from bumped parent
-//    degrees, and the area from the repaired loads — no child Topology is
-//    ever materialized on the screening hot path.
+//    evaluation: hop metrics from the child's factor lines, the radix from
+//    bumped parent degrees, and the area from the repaired loads — no child
+//    Topology is ever materialized on the screening hot path.
 //
 //  * Shared-prefix reuse. `screen_batch_incremental` organizes an arbitrary
 //    candidate batch (greedy neighborhoods, exhaustive mask enumerations,
 //    explore_* subset sweeps) into a prefix forest ordered by canonical
 //    skip-element order, derives one context per interior node, and screens
 //    each candidate from its longest cached ancestor — 2^k candidates cost
-//    one full sweep plus 2^k bounded repairs.
+//    one channel-routing run per interior node plus 2^k suffix replays.
 //
 // Cache invalidation is by construction: a context is keyed to one parent
-// parameterization and one ArchParams; `screen_child` only accepts children
-// whose skip sets are supersets of the parent's (checked), and `rebase`
-// re-keys the context by repairing its rows in place. Removing a skip
-// distance (edge deletion) can only INCREASE distances and is not
-// repairable by relaxation — such children are rejected rather than
+// parameterization and one ArchParams; `screen_child`, `rebase` and
+// `derive` only accept children whose skip sets are supersets of the
+// parent's (checked). Removing a skip distance deletes links the routing
+// suffix replay cannot take back — such children are rejected rather than
 // screened wrongly.
 //
 // Equivalence oracle: `verify_incremental_equivalence` screens a batch both
@@ -82,9 +81,9 @@ namespace shg::customize {
 /// Cached screening state of one parent parameterization.
 class ScreeningContext {
  public:
-  /// Full screen of `params`: one all-pairs sweep, one channel-routing run
-  /// (kept as the routing context) and cost steps 1-4. The context keeps a
-  /// pointer to `arch`, which must outlive it.
+  /// Full screen of `params`: the factor-line hop totals, one
+  /// channel-routing run (kept as the routing context) and cost steps 1-4.
+  /// The context keeps a pointer to `arch`, which must outlive it.
   ScreeningContext(const tech::ArchParams& arch,
                    const topo::ShgParams& params);
 
@@ -94,9 +93,6 @@ class ScreeningContext {
   /// children keeps its heap allocations warm. One per thread when
   /// screening concurrently (see parallel_for_with_worker).
   struct Workspace {
-    std::vector<graph::Edge> new_edges;
-    graph::EdgeOverlay overlay;
-    graph::BitSweepWorkspace bitsweep;
     std::vector<int> degrees;
     phys::GlobalRoutingResult loads;
   };
@@ -106,78 +102,62 @@ class ScreeningContext {
   const CandidateMetrics& metrics() const { return metrics_; }
 
   /// Screens `child`, whose skip sets must be supersets of `params()`,
-  /// without materializing it: an edge-overlay bit sweep over the parent
-  /// graph for the hop metrics, bumped parent degrees for the radix and a
-  /// suffix replay of the routing context for the channel loads. The
-  /// result is bit-identical to `screen_candidate(arch, child)`. Safe to
-  /// call concurrently on one context; `tile_cache` and `ws` (both
-  /// optional) must then be per-caller.
+  /// without materializing it: the child's factor-line totals for the hop
+  /// metrics, bumped parent degrees for the radix and a suffix replay of
+  /// the routing context for the channel loads. The result is
+  /// bit-identical to `screen_candidate(arch, child)`. Safe to call
+  /// concurrently on one context; `tile_cache` and `ws` (both optional)
+  /// must then be per-caller.
   CandidateMetrics screen_child(const topo::ShgParams& child,
                                 model::TileGeometryCache* tile_cache =
                                     nullptr,
                                 Workspace* ws = nullptr) const;
 
-  /// Re-keys the context onto `child` (a superset of `params()`) by
-  /// repairing the cached rows in place — the greedy search uses this when
-  /// it accepts a step. `known_metrics`, when given, must be the result of
+  /// Re-keys the context onto `child` (a superset of `params()`): one
+  /// channel-routing run of the child — the greedy search uses this when it
+  /// accepts a step. `known_metrics`, when given, must be the result of
   /// screening `child` (e.g. the screen_child return the caller just
-  /// ranked); the re-keyed context then adopts it instead of re-running
-  /// the cost model for a candidate whose metrics are already known.
+  /// ranked); the re-keyed context then adopts it instead of pricing a
+  /// candidate whose metrics are already known.
   void rebase(const topo::ShgParams& child,
               const CandidateMetrics* known_metrics = nullptr);
 
-  /// Derives an independent context for `child` without re-sweeping; the
-  /// shared-prefix forest walk uses this for interior nodes. With
-  /// `need_metrics` false the cost model is skipped and the derived
-  /// context's metrics() are unspecified — for stepping-stone prefixes
-  /// that only exist to repair rows for their descendants, the cost model
-  /// (the dominant screening cost) would be wasted work.
+  /// An independent context for `child` (a superset of `params()`); the
+  /// shared-prefix forest walk uses this for interior nodes, including
+  /// stepping-stone prefixes that only supply a routing context to their
+  /// descendants. Its metrics() are bit-identical to screen_candidate.
   ScreeningContext derive(const topo::ShgParams& child,
-                          model::TileGeometryCache* tile_cache = nullptr,
-                          bool need_metrics = true) const;
+                          model::TileGeometryCache* tile_cache =
+                              nullptr) const;
 
  private:
-  /// rebase/derive's step: the materialized child with its repaired rows.
-  struct ChildScreen;
-  ChildScreen screen_impl(const topo::ShgParams& child,
-                          model::TileGeometryCache* tile_cache,
-                          const CandidateMetrics* known_metrics,
-                          bool need_metrics) const;
-
-  ScreeningContext(const tech::ArchParams* arch, topo::ShgParams params,
-                   topo::Topology topo, std::vector<int> dist,
-                   std::vector<int> hist,
-                   std::vector<graph::DistRowStats> row_stats,
-                   const CandidateMetrics& metrics);
+  /// Routes `params` and adopts `known_metrics` when given, else prices it.
+  ScreeningContext(const tech::ArchParams& arch,
+                   const topo::ShgParams& params,
+                   model::TileGeometryCache* tile_cache,
+                   const CandidateMetrics* known_metrics);
 
   const tech::ArchParams* arch_;
   topo::ShgParams params_;
   topo::Topology topo_;
-  /// Reuse state rebuilt with topo_: the parent's incremental router and
-  /// the per-node degrees screen_child bumps for child radices.
+  /// Reuse state built with topo_: the parent's incremental router and the
+  /// per-node degrees screen_child bumps for child radices. Nothing scales
+  /// with the number of node pairs.
   phys::RoutingContext routing_;
   std::vector<int> degrees_;
-  /// Per-source cached state, all row-major n x n (plus one stats entry per
-  /// source): the distance rows the repair starts from, the per-row
-  /// distance histograms, and the per-row aggregates. The histograms let
-  /// the statistics-fused repair keep sum/max/reachable exact at label
-  /// changes instead of re-folding O(n) per repaired row — that re-fold
-  /// costs as much as the repair itself.
-  std::vector<int> dist_;  ///< dist_[src * n + node]
-  std::vector<int> hist_;  ///< hist_[src * n + d] = nodes at distance d
-  std::vector<graph::DistRowStats> row_stats_;
   CandidateMetrics metrics_;
 };
 
 /// Incremental screening for non-SHG families: a parent topology of ANY
 /// family (SlimNoC, torus, mesh, custom) plus added-edge children. Before
 /// this existed, screening such children meant a fresh sweep and a
-/// from-scratch channel route per child; now they flow through the same
-/// incremental stack as SHG candidates — `graph::EdgeOverlay` plus the
-/// bit-parallel all-pairs sweep for the hop metrics, bumped parent degrees
-/// for the radix, and the `phys::RoutingContext` added-links suffix replay
-/// (which handles diagonal links with a joint-orientation replay) for the
-/// channel loads. No child Topology is ever materialized.
+/// from-scratch channel route per child. Such a child is no Cartesian
+/// product of two lines, so its hop metrics come from `graph::EdgeOverlay`
+/// plus the bit-parallel all-pairs sweep; the rest is the SHG stack —
+/// bumped parent degrees for the radix and the `phys::RoutingContext`
+/// added-links suffix replay (which handles diagonal links with a
+/// joint-orientation replay) for the channel loads. No child Topology is
+/// ever materialized.
 ///
 /// Exactness: `screen_child` is bit-identical to `screen_topology` on the
 /// parent-copy-plus-add_link child (randomized trajectory oracle in

@@ -162,8 +162,8 @@ SearchResult customize_greedy(const tech::ArchParams& arch, const Goal& goal,
     }
   }
   if (!have_metrics) {
-    // The context's construction sweep doubles as the mesh screening, so
-    // the search pays no extra full sweep up front.
+    // The context's construction doubles as the mesh screening, so the
+    // search pays no extra screen up front.
     result.metrics = ensure_ctx().metrics();
     if (session != nullptr) {
       session->store(fingerprint_shg_candidate(*arch_fp, result.params),
@@ -226,9 +226,9 @@ SearchResult customize_greedy(const tech::ArchParams& arch, const Goal& goal,
 
     if (!miss.empty()) {
       // Every neighbor is the parent plus one skip distance — the exact
-      // shape both the routing suffix replay and the overlay sweep are
-      // built for. Worker-pinned scratch keeps the screening buffers and
-      // the tile-geometry memo warm across candidates and iterations.
+      // shape the routing suffix replay is built for. Worker-pinned
+      // scratch keeps the screening buffers and the tile-geometry memo
+      // warm across candidates and iterations.
       const ScreeningContext& c = ensure_ctx();
       const std::size_t workers = parallel_worker_count(miss.size());
       if (scratch.size() < workers) scratch.resize(workers);
@@ -289,8 +289,8 @@ SearchResult customize_exhaustive(const tech::ArchParams& arch,
     }
   }
   // The subset lattice is a prefix forest: every mask is some other mask
-  // plus one element, so the shared-prefix screening reuses distance rows
-  // across the whole enumeration; an attached session additionally serves
+  // plus one element, so the shared-prefix screening reuses routing
+  // contexts across the whole enumeration; an attached session additionally serves
   // repeated invocations from its cache and screens only the misses.
   // Either way the serial reduction below sees bit-identical metrics in
   // the same order.

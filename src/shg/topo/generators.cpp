@@ -24,6 +24,31 @@ int log2_exact(int x) {
 /// Binary-reflected Gray code.
 unsigned gray(unsigned i) { return i ^ (i >> 1); }
 
+void require_shg_skips(int rows, int cols, const std::set<int>& row_skips,
+                       const std::set<int>& col_skips) {
+  for (int x : row_skips) {
+    SHG_REQUIRE(x >= 2 && x < cols,
+                "row skip distances must lie in {2..C-1} (Section III-b)");
+  }
+  for (int x : col_skips) {
+    SHG_REQUIRE(x >= 2 && x < rows,
+                "column skip distances must lie in {2..R-1} (Section III-b)");
+  }
+}
+
+/// All-pairs hop totals of one SHG line: `len` tiles on a path plus the
+/// chords of `skips`, enumerated by for_each_skip_link on a 1 x len grid.
+graph::AllPairsTotals line_hop_totals(int len, const std::set<int>& skips) {
+  graph::Graph line(len);
+  for (int i = 0; i + 1 < len; ++i) line.add_edge(i, i + 1);
+  for_each_skip_link(1, len, skips, std::set<int>{},
+                     [&](TileCoord a, TileCoord b) {
+                       line.add_edge(a.col, b.col);
+                     });
+  graph::BitSweepWorkspace ws;
+  return graph::all_pairs_totals(line, nullptr, ws);
+}
+
 }  // namespace
 
 Topology make_ring(int rows, int cols) {
@@ -191,14 +216,7 @@ Topology make_flattened_butterfly(int rows, int cols) {
 Topology make_sparse_hamming(int rows, int cols,
                              const std::set<int>& row_skips,
                              const std::set<int>& col_skips) {
-  for (int x : row_skips) {
-    SHG_REQUIRE(x >= 2 && x < cols,
-                "row skip distances must lie in {2..C-1} (Section III-b)");
-  }
-  for (int x : col_skips) {
-    SHG_REQUIRE(x >= 2 && x < rows,
-                "column skip distances must lie in {2..R-1} (Section III-b)");
-  }
+  require_shg_skips(rows, cols, row_skips, col_skips);
   std::ostringstream name;
   name << "sparse_hamming SR=" << fmt_int_set(row_skips)
        << " SC=" << fmt_int_set(col_skips);
@@ -213,10 +231,27 @@ Topology make_sparse_hamming(int rows, int cols,
     }
   }
   // Additional links: the skip connectivity, via the shared enumeration
-  // the incremental screening repair also builds its edge lists from.
+  // shg_hop_totals and the incremental screening also build from.
   for_each_skip_link(rows, cols, row_skips, col_skips,
                      [&](TileCoord a, TileCoord b) { topo.add_link(a, b); });
   return topo;
+}
+
+graph::AllPairsTotals shg_hop_totals(int rows, int cols,
+                                     const std::set<int>& row_skips,
+                                     const std::set<int>& col_skips) {
+  SHG_REQUIRE(rows >= 1 && cols >= 1, "grid dimensions must be positive");
+  require_shg_skips(rows, cols, row_skips, col_skips);
+  const graph::AllPairsTotals row = line_hop_totals(cols, row_skips);
+  const graph::AllPairsTotals col = line_hop_totals(rows, col_skips);
+  // hop((r1,c1), (r2,c2)) = row-line hop(c1,c2) + column-line hop(r1,r2),
+  // and a pair is reachable iff both factor pairs are. Each row-line pair
+  // therefore recurs once per reachable column-line pair and vice versa.
+  graph::AllPairsTotals totals;
+  totals.sum = col.reachable_pairs * row.sum + row.reachable_pairs * col.sum;
+  totals.reachable_pairs = row.reachable_pairs * col.reachable_pairs;
+  totals.diameter = row.diameter + col.diameter;
+  return totals;
 }
 
 Topology make_ruche(int rows, int cols, int row_skip, int col_skip) {

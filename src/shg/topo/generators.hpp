@@ -8,6 +8,7 @@
 
 #include <set>
 
+#include "shg/graph/shortest_paths.hpp"
 #include "shg/topo/topology.hpp"
 
 namespace shg::topo {
@@ -16,9 +17,9 @@ namespace shg::topo {
 /// R x C grid (Section III-b): for each row r, each x in SR, each start i
 /// with i + x < C, a link T(r,i) <-> T(r,i+x); columns analogously, rows
 /// first. This is THE definition of skip connectivity — make_sparse_hamming
-/// adds links in exactly this order, and the incremental screening repair
-/// derives its new-edge lists from the same enumeration, so the two can
-/// never diverge. Skip containers need only be iterable in ascending order
+/// adds links in exactly this order, and shg_hop_totals' line chords and
+/// the incremental screening's new links come from the same enumeration,
+/// so they can never diverge. Skip containers need only be iterable in ascending order
 /// (std::set, sorted vector).
 template <typename RowSkips, typename ColSkips, typename Fn>
 void for_each_skip_link(int rows, int cols, const RowSkips& row_skips,
@@ -84,6 +85,21 @@ Topology make_slim_noc(int rows, int cols);
 /// Requires row_skips subset of {2..C-1} and col_skips subset of {2..R-1}.
 Topology make_sparse_hamming(int rows, int cols, const std::set<int>& row_skips,
                              const std::set<int>& col_skips);
+
+/// Exact all-pairs hop totals of make_sparse_hamming(rows, cols, row_skips,
+/// col_skips) without building it. Every row carries the same skips and
+/// every column the same, so the graph is the Cartesian product of one
+/// C-tile row line (path plus SR chords) and one R-tile column line (path
+/// plus SC chords), and a hop distance is the sum of the two line
+/// distances. With S and D the line's all-pairs hop sum and diameter:
+/// sum = R^2 * S_row + C^2 * S_col, diameter = D_row + D_col, and all
+/// (R*C)^2 ordered pairs are reachable. The line chords come from
+/// for_each_skip_link, so the totals and the generator cannot diverge.
+/// Integer totals, so they equal graph::all_pairs_totals on the built
+/// graph exactly. Throws on the skips make_sparse_hamming rejects.
+graph::AllPairsTotals shg_hop_totals(int rows, int cols,
+                                     const std::set<int>& row_skips,
+                                     const std::set<int>& col_skips);
 
 /// Ruche network (related work [41]): mesh plus one fixed skip distance per
 /// dimension — exactly the sparse Hamming graph with SR = {row_skip} and

@@ -1,7 +1,9 @@
 // Incremental-vs-full screening equivalence (customize/incremental.hpp):
-// delta-BFS repair must match fresh sweeps bit-for-bit, and every search
-// surface (greedy, exhaustive, explore) must return what a test-local
-// reference that screens each candidate with screen_candidate returns.
+// the delta-BFS repair must match fresh sweeps bit-for-bit, screening
+// contexts must match screen_candidate up to the benchmark's 40x40 scale,
+// and every search surface (greedy, exhaustive, explore) must return what
+// a test-local reference that screens each candidate with screen_candidate
+// returns.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -27,8 +29,8 @@ using tech::KncScenario;
 using tech::knc_scenario;
 
 void expect_same_metrics(const CandidateMetrics& a, const CandidateMetrics& b) {
-  // Bit-identical, not approximately equal: the repair reproduces the same
-  // integer distance matrix, and the area side runs the same arithmetic.
+  // Bit-identical, not approximately equal: the factor lines reproduce the
+  // same integer hop totals, and the area side runs the same arithmetic.
   EXPECT_EQ(a.area_overhead, b.area_overhead);
   EXPECT_EQ(a.avg_hops, b.avg_hops);
   EXPECT_EQ(a.diameter, b.diameter);
@@ -109,8 +111,6 @@ TEST(DeltaBfs, RandomTrajectoriesMatchFreshSweeps) {
               << rows << "x" << cols << " src " << s << " node " << v;
         }
       }
-      // The repair must also match the fused summary when driven through
-      // the screening context (histogram-fused statistics path).
       params = child;
     }
   }
@@ -145,8 +145,8 @@ TEST(ScreeningContext, ChildMatchesScreenCandidate) {
 TEST(ScreeningContext, RejectsNonSupersetChildren) {
   const ArchParams arch = knc_scenario(KncScenario::kA);
   const ScreeningContext ctx(arch, topo::ShgParams{{3}, {}});
-  // Removing a skip distance deletes edges; distances can then grow, which
-  // the add-edge repair cannot express — the context must refuse.
+  // Removing a skip distance deletes links, which the routing suffix
+  // replay cannot take back — the context must refuse.
   EXPECT_THROW(ctx.screen_child(topo::ShgParams{}), Error);
   EXPECT_THROW(ctx.screen_child(topo::ShgParams{{4}, {}}), Error);
 }
@@ -214,6 +214,55 @@ TEST(ScreeningContext, ScratchAndRebaseMatchScreenCandidate) {
   expect_same_metrics(
       rebased.screen_child(topo::ShgParams{{3, 4, 6}, {2, 5}}),
       screen_candidate(arch, topo::ShgParams{{3, 4, 6}, {2, 5}}));
+}
+
+TEST(ScreeningContext, FortyByFortyMatchesScreenCandidate) {
+  // The benchmark's scale: 1600 tiles, where screening takes its hop
+  // metrics from the factor lines and never sweeps the grid.
+  ArchParams arch = knc_scenario(KncScenario::kA);
+  arch.rows = 40;
+  arch.cols = 40;
+  const std::vector<topo::ShgParams> batch = {
+      topo::ShgParams{},  // the mesh
+      topo::ShgParams{{2}, {}},
+      topo::ShgParams{{17}, {}},
+      topo::ShgParams{{}, {5}},
+      topo::ShgParams{{}, {39}},
+      topo::ShgParams{{3, 9, 27}, {2, 14}},
+      topo::ShgParams{{5, 11, 23, 31}, {4, 8, 16, 32, 39}}};
+  EXPECT_NO_THROW(verify_incremental_equivalence(arch, batch));
+  // The greedy search's accept path: a rebase chain from the mesh.
+  ScreeningContext ctx(arch, topo::ShgParams{});
+  for (const topo::ShgParams& step :
+       {topo::ShgParams{{8}, {}}, topo::ShgParams{{8}, {13}},
+        topo::ShgParams{{8, 21}, {13}}}) {
+    ctx.rebase(step);
+    expect_same_metrics(ctx.metrics(), screen_candidate(arch, step));
+  }
+}
+
+TEST(ScreeningContext, NonSquareGridsMatchScreenCandidate) {
+  // R != C: the factor lines have different lengths, so a hop total that
+  // mixed up the row and column factors would differ here (on a square
+  // grid it cannot).
+  for (const auto [rows, cols] : {std::pair{8, 16}, std::pair{16, 8}}) {
+    ArchParams arch = knc_scenario(KncScenario::kA);
+    arch.rows = rows;
+    arch.cols = cols;
+    const std::vector<topo::ShgParams> batch = {
+        topo::ShgParams{},
+        topo::ShgParams{{3}, {}},
+        topo::ShgParams{{}, {2}},
+        topo::ShgParams{{2, 5}, {3}},
+        topo::ShgParams{{4, 6}, {2, 5}}};
+    EXPECT_NO_THROW(verify_incremental_equivalence(arch, batch));
+    ScreeningContext ctx(arch, topo::ShgParams{{3}, {}});
+    expect_same_metrics(ctx.screen_child(topo::ShgParams{{3}, {2, 5}}),
+                        screen_candidate(arch, topo::ShgParams{{3}, {2, 5}}));
+    ctx.rebase(topo::ShgParams{{3, 6}, {}});
+    expect_same_metrics(ctx.metrics(),
+                        screen_candidate(arch, topo::ShgParams{{3, 6}, {}}));
+  }
 }
 
 /// The greedy search written out with screen_candidate as its only

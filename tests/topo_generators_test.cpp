@@ -3,7 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <set>
+#include <string>
+#include <utility>
 
+#include "shg/common/prng.hpp"
 #include "shg/graph/shortest_paths.hpp"
 #include "shg/topo/generators.hpp"
 #include "shg/topo/registry.hpp"
@@ -240,6 +244,80 @@ TEST(SparseHamming, StoresParams) {
   const Topology topo = make_sparse_hamming(8, 8, {4}, {2, 5});
   EXPECT_EQ(topo.shg_params().row_skips, (std::set<int>{4}));
   EXPECT_EQ(topo.shg_params().col_skips, (std::set<int>{2, 5}));
+}
+
+/// shg_hop_totals must equal the exact totals of the built graph: the
+/// bit-parallel all-pairs sweep's integers and distance_summary's diameter
+/// and average hops (same division the screening metrics use).
+void expect_product_totals(int rows, int cols, const std::set<int>& sr,
+                           const std::set<int>& sc) {
+  const Topology topo = make_sparse_hamming(rows, cols, sr, sc);
+  const graph::AllPairsTotals product = shg_hop_totals(rows, cols, sr, sc);
+  graph::BitSweepWorkspace ws;
+  const graph::AllPairsTotals swept =
+      graph::all_pairs_totals(topo.graph(), nullptr, ws);
+  const std::string where = std::to_string(rows) + "x" +
+                            std::to_string(cols) + " " + topo.name();
+  EXPECT_EQ(product.sum, swept.sum) << where;
+  EXPECT_EQ(product.diameter, swept.diameter) << where;
+  EXPECT_EQ(product.reachable_pairs, swept.reachable_pairs) << where;
+  const long long n = static_cast<long long>(rows) * cols;
+  EXPECT_EQ(product.reachable_pairs, n * n) << where;
+  const graph::DistanceSummary summary = graph::distance_summary(topo.graph());
+  EXPECT_TRUE(summary.connected) << where;
+  EXPECT_EQ(product.diameter, summary.diameter) << where;
+  if (n > 1) {
+    EXPECT_EQ(static_cast<double>(product.sum) / static_cast<double>(n * n - n),
+              summary.avg_hops)
+        << where;
+  }
+}
+
+std::set<int> skips_from_mask(int mask, int count) {
+  std::set<int> skips;
+  for (int bit = 0; bit < count; ++bit) {
+    if ((mask >> bit) & 1) skips.insert(2 + bit);
+  }
+  return skips;
+}
+
+TEST(ShgHopTotals, EverySkipPairOnFiveBySevenGrid) {
+  // SR ranges over the 2^5 subsets of {2..6}, SC over the 2^3 of {2..4}.
+  int checked = 0;
+  for (int row_mask = 0; row_mask < (1 << 5); ++row_mask) {
+    for (int col_mask = 0; col_mask < (1 << 3); ++col_mask) {
+      expect_product_totals(5, 7, skips_from_mask(row_mask, 5),
+                            skips_from_mask(col_mask, 3));
+      ++checked;
+    }
+  }
+  EXPECT_EQ(checked, 256);
+}
+
+TEST(ShgHopTotals, RandomSkipsOnNonSquareGrids) {
+  // R != C, so a product with the R^2 and C^2 factors swapped fails here.
+  Prng prng(0x5a5a1500u);
+  for (const auto [rows, cols] : {std::pair{24, 40}, std::pair{40, 24}}) {
+    for (int trial = 0; trial < 4; ++trial) {
+      std::set<int> sr, sc;
+      for (int x = 2; x < cols; ++x) {
+        if (prng.chance(0.15)) sr.insert(x);
+      }
+      for (int x = 2; x < rows; ++x) {
+        if (prng.chance(0.15)) sc.insert(x);
+      }
+      expect_product_totals(rows, cols, sr, sc);
+    }
+  }
+}
+
+TEST(ShgHopTotals, SingleLineGridsAndInvalidSkips) {
+  expect_product_totals(1, 1, {}, {});
+  expect_product_totals(1, 9, {3, 8}, {});
+  expect_product_totals(6, 1, {}, {2, 5});
+  EXPECT_THROW(shg_hop_totals(8, 8, {1}, {}), Error);
+  EXPECT_THROW(shg_hop_totals(8, 8, {8}, {}), Error);
+  EXPECT_THROW(shg_hop_totals(8, 8, {}, {9}), Error);
 }
 
 TEST(Ruche, IsSubsetOfShgFamilies) {
