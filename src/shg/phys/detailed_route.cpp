@@ -2,11 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <compare>
 #include <cstdint>
-#include <map>
 #include <queue>
-#include <unordered_map>
-#include <unordered_set>
 
 namespace shg::phys {
 
@@ -33,10 +31,8 @@ PortFractions assign_ports(const topo::Topology& topo,
   PortFractions fractions;
   fractions.u.assign(num_edges, 0.5);
   fractions.v.assign(num_edges, 0.5);
-  // Collect the non-straight link endpoints per (tile, face); flat-indexed
-  // buckets filled in ascending edge order, then sorted with the same
-  // (edge, is_u) comparison the old map-of-vectors used — identical
-  // per-face orders, identical fractions.
+  // Collect the non-straight link endpoints per (tile, face), then order
+  // each face by (edge, is_u).
   std::vector<std::vector<std::pair<graph::EdgeId, bool>>> by_face(
       static_cast<std::size_t>(topo.num_tiles()) * 4);
   auto face_slot = [](int tile, Face face) {
@@ -106,8 +102,7 @@ TrackAssignment assign_tracks(const topo::Topology& topo,
     graph::EdgeId edge;
   };
   // Channels flat-indexed: horizontal channels first ([0, rows]), then
-  // vertical ([0, cols]); buckets fill in ascending edge order, as the old
-  // map-of-vectors did.
+  // vertical ([0, cols]); buckets fill in ascending edge order.
   const std::size_t num_h = global.h_loads.size();
   std::vector<std::vector<Item>> by_channel(num_h + global.v_loads.size());
   for (graph::EdgeId e = 0; e < topo.graph().num_edges(); ++e) {
@@ -156,152 +151,94 @@ TrackAssignment assign_tracks(const topo::Topology& topo,
   return result;
 }
 
-/// Accumulates unit-cell occupancy. Cells are deduplicated per link (a link
-/// visiting a cell twice — a jog corner — is counted once), and the three
-/// outputs are exact cardinalities: distinct occupied cells per direction
-/// and distinct cells holding >= 2 links.
-///
-/// Two interchangeable backends compute those cardinalities:
-///
-///  * a flat per-cell grid sized from the chip dimensions, with a per-link
-///    stamp array for the dedup — O(1) unhashed work per visited cell.
-///    Counting is folded into the visit (0->1 occupies a cell, 1->2 makes
-///    it a collision), so no final scan is needed either;
-///  * the original unordered hash containers, kept for chips whose cell
-///    grid would not reasonably fit in memory.
-///
-/// Both count the same cells, so the reported numbers are identical; only
-/// the constant factor differs (the hash path dominated the whole cost
-/// model's runtime — see PERF.md).
+/// Counts unit-cell occupancy from cell runs. Each segment covers one run of
+/// cells along one grid line (a cell row for a horizontal segment, a cell
+/// column for a vertical one). A link's overlapping runs on the same line
+/// are merged, so a cell one link crosses twice in the same direction
+/// counts once for it. One sort of all runs and one sweep per line give the
+/// exact cardinalities: distinct occupied cells per direction and distinct
+/// cells holding >= 2 links. Memory is O(runs), whatever the chip's cell
+/// count.
 class CellCounter {
  public:
   CellCounter(double cell_w, double cell_h, double chip_w, double chip_h)
-      : cell_w_(cell_w), cell_h_(cell_h) {
-    const std::int64_t nx = cell_index(chip_w, cell_w) + 2;
-    const std::int64_t ny = cell_index(chip_h, cell_h) + 2;
-    if (nx > 0 && ny > 0 && nx * ny <= kMaxGridCells) {
-      nx_ = nx;
-      ny_ = ny;
-      const std::size_t cells = static_cast<std::size_t>(nx * ny);
-      h_grid_.assign(cells, 0);
-      v_grid_.assign(cells, 0);
-      h_stamp_.assign(cells, 0);
-      v_stamp_.assign(cells, 0);
-    }
-  }
-
-  void begin_link() {
-    if (grid()) {
-      ++link_id_;
-    } else {
-      link_h_.clear();
-      link_v_.clear();
-    }
-  }
+      : cell_w_(cell_w),
+        cell_h_(cell_h),
+        nx_(cell_index(chip_w, cell_w) + 2),
+        ny_(cell_index(chip_h, cell_h) + 2) {}
 
   void add_segment(const Segment& seg) {
     if (seg.length() <= 0.0) return;
-    if (seg.horizontal) {
-      const std::int64_t iy = cell_index(seg.a.y, cell_h_);
-      const std::int64_t x0 = cell_index(std::min(seg.a.x, seg.b.x), cell_w_);
-      const std::int64_t x1 = cell_index(std::max(seg.a.x, seg.b.x), cell_w_);
-      for (std::int64_t ix = x0; ix <= x1; ++ix) {
-        if (grid()) {
-          visit(ix, iy, h_grid_, h_stamp_, h_cells_);
-        } else {
-          link_h_.insert(key(ix, iy));
-        }
-      }
-    } else {
-      const std::int64_t ix = cell_index(seg.a.x, cell_w_);
-      const std::int64_t y0 = cell_index(std::min(seg.a.y, seg.b.y), cell_h_);
-      const std::int64_t y1 = cell_index(std::max(seg.a.y, seg.b.y), cell_h_);
-      for (std::int64_t iy = y0; iy <= y1; ++iy) {
-        if (grid()) {
-          visit(ix, iy, v_grid_, v_stamp_, v_cells_);
-        } else {
-          link_v_.insert(key(ix, iy));
-        }
-      }
-    }
+    const bool h = seg.horizontal;
+    const double cell = h ? cell_w_ : cell_h_;
+    const auto [a, b] = h ? std::minmax(seg.a.x, seg.b.x)
+                          : std::minmax(seg.a.y, seg.b.y);
+    const Run run{h, h ? cell_index(seg.a.y, cell_h_)
+                       : cell_index(seg.a.x, cell_w_),
+                  cell_index(a, cell), cell_index(b, cell)};
+    SHG_ASSERT(run.line >= 0 && run.line < (h ? ny_ : nx_) && run.lo >= 0 &&
+                   run.hi < (h ? nx_ : ny_),
+               "detailed-route segment leaves the chip cell grid");
+    link_.push_back(run);
   }
 
+  /// Moves the current link's runs into the chip-wide list, merged per line.
   void end_link() {
-    if (grid()) return;  // the grid path counts at visit time
-    for (std::int64_t k : link_h_) ++h_counts_[k];
-    for (std::int64_t k : link_v_) ++v_counts_[k];
+    std::sort(link_.begin(), link_.end());
+    const std::size_t first = runs_.size();
+    for (const Run& run : link_) {
+      if (runs_.size() > first && same_line(runs_.back(), run) &&
+          run.lo <= runs_.back().hi) {
+        runs_.back().hi = std::max(runs_.back().hi, run.hi);
+      } else {
+        runs_.push_back(run);
+      }
+    }
+    link_.clear();
   }
 
-  long long h_cells() const {
-    return grid() ? h_cells_ : static_cast<long long>(h_counts_.size());
-  }
-  long long v_cells() const {
-    return grid() ? v_cells_ : static_cast<long long>(v_counts_.size());
-  }
-
-  long long collision_cells() const {
-    if (grid()) return collision_cells_;
-    long long collisions = 0;
-    for (const auto& [k, count] : h_counts_) {
-      if (count >= 2) ++collisions;
+  /// Sweeps each line in start order: cells past every earlier run's end are
+  /// newly occupied; cells up to it are covered twice, i.e. collide.
+  void count(DetailedRoutingResult& result) {
+    std::sort(runs_.begin(), runs_.end());
+    std::int64_t end1 = 0;  // furthest cell covered on this line so far
+    std::int64_t end2 = 0;  // furthest cell counted as a collision
+    for (std::size_t i = 0; i < runs_.size(); ++i) {
+      const Run& run = runs_[i];
+      if (i == 0 || !same_line(runs_[i - 1], run)) {
+        end1 = end2 = run.lo - 1;
+      }
+      (run.horizontal ? result.h_cells : result.v_cells) +=
+          std::max<std::int64_t>(0, run.hi - std::max(run.lo, end1 + 1) + 1);
+      const std::int64_t overlap_end = std::min(run.hi, end1);
+      result.collision_cells += std::max<std::int64_t>(
+          0, overlap_end - std::max(run.lo, end2 + 1) + 1);
+      end2 = std::max(end2, overlap_end);
+      end1 = std::max(end1, run.hi);
     }
-    for (const auto& [k, count] : v_counts_) {
-      if (count >= 2) ++collisions;
-    }
-    return collisions;
   }
 
  private:
-  /// Grid backend cap: ~16M cells (~256 MB of grids would be the next power
-  /// of two; at the cap the four arrays hold ~160 MB less — still far below
-  /// what the hash containers would consume for that many occupied cells,
-  /// but large fabrics with micron cells fall back to hashing).
-  static constexpr std::int64_t kMaxGridCells = std::int64_t{1} << 24;
+  struct Run {
+    bool horizontal;
+    std::int64_t line;
+    std::int64_t lo, hi;  ///< inclusive cell range along the line
+    auto operator<=>(const Run&) const = default;
+  };
 
-  bool grid() const { return nx_ > 0; }
-
-  void visit(std::int64_t ix, std::int64_t iy, std::vector<std::int32_t>& g,
-             std::vector<std::int32_t>& stamp, long long& cells) {
-    SHG_ASSERT(ix >= 0 && ix < nx_ && iy >= 0 && iy < ny_,
-               "detailed-route segment leaves the chip cell grid");
-    const std::size_t idx = static_cast<std::size_t>(iy * nx_ + ix);
-    if (stamp[idx] == link_id_) return;  // this link already counted it
-    stamp[idx] = link_id_;
-    const std::int32_t count = ++g[idx];
-    if (count == 1) {
-      ++cells;
-    } else if (count == 2) {
-      ++collision_cells_;
-    }
+  static bool same_line(const Run& a, const Run& b) {
+    return a.horizontal == b.horizontal && a.line == b.line;
   }
-
   static std::int64_t cell_index(double coord, double cell) {
     return static_cast<std::int64_t>(std::floor(coord / cell));
-  }
-  static std::int64_t key(std::int64_t ix, std::int64_t iy) {
-    return (iy << 24) ^ ix;
   }
 
   double cell_w_;
   double cell_h_;
-
-  // Grid backend (active when nx_ > 0).
-  std::int64_t nx_ = 0;
-  std::int64_t ny_ = 0;
-  std::int32_t link_id_ = 0;  ///< 0 = "never visited" stamp
-  std::vector<std::int32_t> h_grid_;
-  std::vector<std::int32_t> v_grid_;
-  std::vector<std::int32_t> h_stamp_;
-  std::vector<std::int32_t> v_stamp_;
-  long long h_cells_ = 0;
-  long long v_cells_ = 0;
-  long long collision_cells_ = 0;
-
-  // Hash backend.
-  std::unordered_set<std::int64_t> link_h_;
-  std::unordered_set<std::int64_t> link_v_;
-  std::unordered_map<std::int64_t, int> h_counts_;
-  std::unordered_map<std::int64_t, int> v_counts_;
+  std::int64_t nx_;
+  std::int64_t ny_;
+  std::vector<Run> link_;  ///< the current link's runs
+  std::vector<Run> runs_;  ///< every finished link's merged runs
 };
 
 double manhattan_to_center(const Floorplan& plan, const topo::TileCoord& tile,
@@ -387,7 +324,6 @@ DetailedRoutingResult detailed_route(const topo::Topology& topo,
       add({xt, pv.y}, pv, true);        // jog into v's port
     }
 
-    cells.begin_link();
     for (const Segment& seg : route.segments) {
       route.channel_length_mm += seg.length();
       cells.add_segment(seg);
@@ -398,9 +334,7 @@ DetailedRoutingResult detailed_route(const topo::Topology& topo,
                             manhattan_to_center(plan, cv, pv);
   }
 
-  result.h_cells = cells.h_cells();
-  result.v_cells = cells.v_cells();
-  result.collision_cells = cells.collision_cells();
+  cells.count(result);
   return result;
 }
 

@@ -9,7 +9,10 @@
 //
 // The detailed route of every link is an axis-aligned polyline in chip
 // coordinates; its length drives the link latency estimate and its
-// unit-cell footprint drives the power estimate.
+// unit-cell footprint drives the power estimate. The footprint is counted
+// from cell runs (one per segment) by one sorted sweep per cell line, so
+// memory is O(runs) — proportional to the links, never to the chip's cell
+// count.
 #pragma once
 
 #include <vector>

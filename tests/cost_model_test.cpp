@@ -3,6 +3,7 @@
 // predict.
 #include <gtest/gtest.h>
 
+#include "shg/customize/search.hpp"
 #include "shg/model/cost_model.hpp"
 #include "shg/phys/incremental_route.hpp"
 #include "shg/tech/presets.hpp"
@@ -132,6 +133,48 @@ TEST(CostModel, CollisionsAreRare) {
       evaluate_cost(arch, topo::make_flattened_butterfly(8, 8));
   EXPECT_LT(static_cast<double>(report.collision_cells),
             0.05 * static_cast<double>(report.h_cells + report.v_cells));
+}
+
+TEST(CostModel, GoldenStep5CellCounts) {
+  // Step-5 cell counts recorded with the per-cell grid counter that the
+  // run sweep replaced: the two 40x40 customize_greedy finals of the
+  // dse_greedy benchmark (KNC a/b, 40% area budget) and a 16x16 flattened
+  // butterfly. A counter change that moves any count fails here.
+  struct Golden {
+    KncScenario scenario;
+    int rows, cols;
+    topo::ShgParams skips;  ///< the greedy search's final skip sets
+    long long h_cells, v_cells, collision_cells;
+  };
+  const Golden finals[] = {
+      {KncScenario::kA, 40, 40, {{2, 3, 4, 39}, {2, 3, 39}},
+       728907, 724334, 17324},
+      {KncScenario::kB, 40, 40, {{2, 3, 4, 5, 39}, {2, 3, 5, 39}},
+       1563285, 1759116, 24256},
+  };
+  for (const Golden& golden : finals) {
+    ArchParams arch = knc_scenario(golden.scenario);
+    arch.rows = golden.rows;
+    arch.cols = golden.cols;
+    const customize::SearchResult result =
+        customize::customize_greedy(arch, customize::Goal{0.40});
+    EXPECT_EQ(result.params, golden.skips);
+    const CostReport report = evaluate_cost(
+        arch, topo::make_sparse_hamming(golden.rows, golden.cols,
+                                        golden.skips.row_skips,
+                                        golden.skips.col_skips));
+    EXPECT_EQ(report.h_cells, golden.h_cells);
+    EXPECT_EQ(report.v_cells, golden.v_cells);
+    EXPECT_EQ(report.collision_cells, golden.collision_cells);
+  }
+
+  ArchParams arch = knc_scenario(KncScenario::kA);
+  arch.rows = arch.cols = 16;
+  const CostReport fb =
+      evaluate_cost(arch, topo::make_flattened_butterfly(16, 16));
+  EXPECT_EQ(fb.h_cells, 1244920);
+  EXPECT_EQ(fb.v_cells, 1469904);
+  EXPECT_EQ(fb.collision_cells, 20612);
 }
 
 TEST(CostModel, LinkLatenciesVectorMatches) {

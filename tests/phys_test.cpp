@@ -3,7 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <map>
 #include <set>
+#include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "shg/common/prng.hpp"
@@ -340,10 +345,11 @@ TEST(GlobalRoute, SkipLinkRouteShapeInvariants) {
 class DetailedRouteFixture : public ::testing::Test {
  protected:
   // Builds a floorplan sized like the cost model would for the topology:
-  // 1 mm tiles, spacing = peak load * cell size, 10 um cells.
+  // 1 mm wide tiles `aspect` mm high, spacing = peak load * cell size,
+  // 10 um cells unless `cell` says otherwise.
   static Floorplan plan_for(const topo::Topology& topo,
-                            const GlobalRoutingResult& global) {
-    const double cell = 0.01;
+                            const GlobalRoutingResult& global,
+                            double aspect = 1.0, double cell = 0.01) {
     std::vector<double> h_spacing(static_cast<std::size_t>(topo.rows()) + 1);
     std::vector<double> v_spacing(static_cast<std::size_t>(topo.cols()) + 1);
     for (int i = 0; i <= topo.rows(); ++i) {
@@ -352,8 +358,8 @@ class DetailedRouteFixture : public ::testing::Test {
     for (int j = 0; j <= topo.cols(); ++j) {
       v_spacing[static_cast<std::size_t>(j)] = global.max_v_load(j) * cell;
     }
-    return Floorplan(topo.rows(), topo.cols(), 1.0, 1.0, std::move(h_spacing),
-                     std::move(v_spacing), cell, cell);
+    return Floorplan(topo.rows(), topo.cols(), 1.0, aspect,
+                     std::move(h_spacing), std::move(v_spacing), cell, cell);
   }
 };
 
@@ -436,6 +442,91 @@ TEST_F(DetailedRouteFixture, SegmentsStartAndEndAtPorts) {
       EXPECT_EQ(segs[i].b, segs[i + 1].a);
     }
   }
+}
+
+// Brute-force step-5 cell counts: every cell of every segment, a set per
+// link for the per-link dedup and a map across links for the tallies.
+struct CellTally {
+  long long h = 0, v = 0, collision = 0;
+};
+
+CellTally brute_force_cells(const DetailedRoutingResult& detailed,
+                            const Floorplan& plan) {
+  using Cell = std::tuple<bool, long long, long long>;  // horizontal, x, y
+  const auto ix = [&](double x) {
+    return static_cast<long long>(std::floor(x / plan.cell_w()));
+  };
+  const auto iy = [&](double y) {
+    return static_cast<long long>(std::floor(y / plan.cell_h()));
+  };
+  std::map<Cell, int> links_per_cell;
+  for (const DetailedRoute& route : detailed.routes) {
+    std::set<Cell> cells;
+    for (const Segment& seg : route.segments) {
+      if (seg.length() <= 0.0) continue;
+      if (seg.horizontal) {
+        const auto [x0, x1] = std::minmax(seg.a.x, seg.b.x);
+        for (long long x = ix(x0); x <= ix(x1); ++x) {
+          cells.emplace(true, x, iy(seg.a.y));
+        }
+      } else {
+        const auto [y0, y1] = std::minmax(seg.a.y, seg.b.y);
+        for (long long y = iy(y0); y <= iy(y1); ++y) {
+          cells.emplace(false, ix(seg.a.x), y);
+        }
+      }
+    }
+    for (const Cell& cell : cells) ++links_per_cell[cell];
+  }
+  CellTally tally;
+  for (const auto& [cell, links] : links_per_cell) {
+    ++(std::get<0>(cell) ? tally.h : tally.v);
+    if (links >= 2) ++tally.collision;
+  }
+  return tally;
+}
+
+TEST_F(DetailedRouteFixture, CellCountsMatchBruteForceOracle) {
+  // Every family at small sizes, three tile aspects and two cell sizes:
+  // the run-sweep counter must equal the cell-by-cell tally exactly.
+  const std::pair<std::string, topo::Topology> fabrics[] = {
+      {"mesh 5x7", topo::make_mesh(5, 7)},
+      {"torus 6x6", topo::make_torus(6, 6)},
+      {"folded torus 5x7", topo::make_folded_torus(5, 7)},
+      {"flattened butterfly 4x6", topo::make_flattened_butterfly(4, 6)},
+      {"flattened butterfly 8x8", topo::make_flattened_butterfly(8, 8)},
+      {"hypercube 4x8", topo::make_hypercube(4, 8)},
+      {"slim noc 4x8", topo::make_slim_noc(4, 8)},
+      {"slim noc 5x10", topo::make_slim_noc(5, 10)},
+      {"ruche 6x8", topo::make_ruche(6, 8, 3, 2)},
+      {"shg 5x5", topo::make_sparse_hamming(5, 5, {3}, {2})},
+      {"shg 4x8 row skips", topo::make_sparse_hamming(4, 8, {2, 3}, {})},
+      {"shg 8x8", topo::make_sparse_hamming(8, 8, {2, 5, 7}, {3, 4})},
+      {"shg 7x9",
+       topo::make_sparse_hamming(7, 9, {2, 3, 4, 6, 8}, {2, 3, 5, 6})},
+  };
+  long long collisions = 0;
+  for (const auto& [name, topo] : fabrics) {
+    const GlobalRoutingResult global = global_route(topo);
+    for (const double aspect : {0.5, 1.0, 2.0}) {
+      // 10 um cells as the cost model sizes them, and 2.5 mm cells, coarse
+      // enough that one link's two port jogs share a cell line.
+      for (const double cell : {0.01, 2.5}) {
+        const Floorplan plan = plan_for(topo, global, aspect, cell);
+        const DetailedRoutingResult detailed =
+            detailed_route(topo, plan, global);
+        const CellTally oracle = brute_force_cells(detailed, plan);
+        const std::string where = name + " aspect " + std::to_string(aspect) +
+                                  " cell " + std::to_string(cell);
+        EXPECT_EQ(detailed.h_cells, oracle.h) << where;
+        EXPECT_EQ(detailed.v_cells, oracle.v) << where;
+        EXPECT_EQ(detailed.collision_cells, oracle.collision) << where;
+        collisions += oracle.collision;
+      }
+    }
+  }
+  // The sweep must exercise the collision count, not only occupancy.
+  EXPECT_GT(collisions, 0);
 }
 
 }  // namespace
