@@ -85,56 +85,37 @@ void SoaEngine::build_fabric(const topo::Topology& topo,
   }
   port_base_[nr] = ports;
   const std::size_t slots = ports * static_cast<std::size_t>(vcs_);
+  SHG_REQUIRE(slots <= std::numeric_limits<std::uint32_t>::max(),
+              "fabric too large for 32-bit input-VC slot ids");
 
-  // Two directed channels per edge: 2e carries u -> v (with u the edge's
-  // stored u), 2e + 1 carries v -> u. A channel holds at most latency + 1
-  // flits (one push per cycle from the single upstream output port, drained
-  // on arrival because pending flits keep the consumer on the worklist), so
-  // latency + 2 ring slots never overflow; same argument for credits (one
-  // traversal per input port and cycle).
-  const int num_chans = 2 * g.num_edges();
-  chan_src_.resize(static_cast<std::size_t>(num_chans));
-  chan_dst_.resize(static_cast<std::size_t>(num_chans));
-  chan_lat_.resize(static_cast<std::size_t>(num_chans));
-  chan_cap_.resize(static_cast<std::size_t>(num_chans));
-  chan_base_.resize(static_cast<std::size_t>(num_chans) + 1);
-  std::size_t chan_slab = 0;
+  // Each edge joins one network port at either end; a port's link names the
+  // port at the far end, so a flit sent out of a port lands in the peer's
+  // input VCs and a credit returned from it lands on the peer's output VCs.
+  std::vector<std::size_t> edge_port(2 *
+                                     static_cast<std::size_t>(g.num_edges()));
+  for (graph::NodeId u = 0; u < g.num_nodes(); ++u) {
+    const auto& nbrs = g.neighbors(u);
+    for (std::size_t i = 0; i < nbrs.size(); ++i) {
+      const bool is_u = g.edge(nbrs[i].edge).u == u;
+      edge_port[2 * static_cast<std::size_t>(nbrs[i].edge) + (is_u ? 0 : 1)] =
+          port_base_[static_cast<std::size_t>(u)] + i;
+    }
+  }
+  links_.resize(ports);
+  int max_latency = 0;
   for (graph::EdgeId e = 0; e < g.num_edges(); ++e) {
     const auto& edge = g.edge(e);
     const int lat = link_latencies[static_cast<std::size_t>(e)];
     SHG_REQUIRE(lat >= 1, "every link has at least one cycle of latency");
-    for (int dir = 0; dir < 2; ++dir) {
-      const std::size_t c = static_cast<std::size_t>(2 * e + dir);
-      chan_src_[c] = dir == 0 ? edge.u : edge.v;
-      chan_dst_[c] = dir == 0 ? edge.v : edge.u;
-      chan_lat_[c] = lat;
-      chan_cap_[c] = lat + 2;
-      chan_base_[c] = chan_slab;
-      chan_slab += static_cast<std::size_t>(lat + 2);
-    }
+    max_latency = std::max(max_latency, lat);
+    const std::size_t at_u = edge_port[2 * static_cast<std::size_t>(e)];
+    const std::size_t at_v = edge_port[2 * static_cast<std::size_t>(e) + 1];
+    links_[at_u] = {static_cast<std::uint32_t>(at_v), edge.v, lat};
+    links_[at_v] = {static_cast<std::uint32_t>(at_u), edge.u, lat};
   }
-  chan_base_[static_cast<std::size_t>(num_chans)] = chan_slab;
-  chan_flits_.resize(chan_slab);
-  chan_fhead_.assign(static_cast<std::size_t>(num_chans), 0);
-  chan_fcount_.assign(static_cast<std::size_t>(num_chans), 0);
-  chan_credits_.resize(chan_slab);
-  chan_chead_.assign(static_cast<std::size_t>(num_chans), 0);
-  chan_ccount_.assign(static_cast<std::size_t>(num_chans), 0);
-
-  in_chan_.assign(ports, -1);
-  out_chan_.assign(ports, -1);
-  for (graph::NodeId u = 0; u < g.num_nodes(); ++u) {
-    const auto& nbrs = g.neighbors(u);
-    for (std::size_t i = 0; i < nbrs.size(); ++i) {
-      const auto& edge = g.edge(nbrs[i].edge);
-      const bool is_forward = edge.u == u;
-      const std::size_t pidx = port_base_[static_cast<std::size_t>(u)] + i;
-      out_chan_[pidx] =
-          2 * nbrs[i].edge + (is_forward ? 0 : 1);  // u -> neighbor
-      in_chan_[pidx] =
-          2 * nbrs[i].edge + (is_forward ? 1 : 0);  // neighbor -> u
-    }
-  }
+  // Entries land 1..max_latency cycles after they are sent, so that many
+  // buckets beyond the current one never wrap onto it.
+  wheel_.resize(static_cast<std::size_t>(max_latency) + 1);
 
   // Buffers and allocation state.
   buf_.resize(slots * static_cast<std::size_t>(depth_));
@@ -166,7 +147,9 @@ void SoaEngine::build_fabric(const topo::Topology& topo,
   sa_out_rr_.assign(ports, 0);
   sa_request_port_.assign(static_cast<std::size_t>(max_ports_), -1);
   sa_request_vc_.assign(static_cast<std::size_t>(max_ports_), -1);
+  route_list_.resize(slots);
   route_pending_.assign(nr, 0);
+  va_list_.resize(slots);
   va_pending_.assign(nr, 0);
   active_ivcs_.assign(nr, 0);
   port_active_.assign(ports, 0);
@@ -250,72 +233,26 @@ void SoaEngine::push_buf(std::size_t s, Cycle ready, std::int32_t pkt,
   ++buf_count_[s];
 }
 
-void SoaEngine::push_chan_flit(int c, Cycle now, std::int32_t pkt, int vc,
-                               std::uint8_t flags) {
-  const std::size_t ci = static_cast<std::size_t>(c);
-  SHG_ASSERT(chan_fcount_[ci] < chan_cap_[ci], "channel flit ring overflow");
-  std::size_t idx =
-      static_cast<std::size_t>(chan_fhead_[ci]) + chan_fcount_[ci];
-  if (idx >= static_cast<std::size_t>(chan_cap_[ci])) {
-    idx -= static_cast<std::size_t>(chan_cap_[ci]);
+void SoaEngine::land(Cycle now) {
+  wheel_now_ = static_cast<std::size_t>(now) % wheel_.size();
+  Bucket& arrivals = wheel_[wheel_now_];
+  for (const FlitArrival& a : arrivals.flits) {
+    const std::size_t s = a.slot;
+    const std::size_t r = static_cast<std::size_t>(a.router);
+    SHG_ASSERT(buf_count_[s] < depth_,
+               "credit protocol violated: buffer overflow");
+    // A flit landing in an empty idle slot is a fresh head awaiting route
+    // computation (state only returns to idle after a tail departs).
+    if (buf_count_[s] == 0 && ivc_state_[s] == kIdle) route_later(a.router, s);
+    push_buf(s, now + delay_, a.pkt, a.flags);
+    ++buffered_[r];
+    ++work_[r];
+    activate(a.router);
   }
-  chan_flits_[chan_base_[ci] + idx] = {now + chan_lat_[ci], pkt,
-                                       static_cast<std::int16_t>(vc), flags};
-  ++chan_fcount_[ci];
-}
-
-void SoaEngine::push_chan_credit(int c, Cycle now, int vc) {
-  const std::size_t ci = static_cast<std::size_t>(c);
-  SHG_ASSERT(chan_ccount_[ci] < chan_cap_[ci], "channel credit ring overflow");
-  std::size_t idx =
-      static_cast<std::size_t>(chan_chead_[ci]) + chan_ccount_[ci];
-  if (idx >= static_cast<std::size_t>(chan_cap_[ci])) {
-    idx -= static_cast<std::size_t>(chan_cap_[ci]);
-  }
-  chan_credits_[chan_base_[ci] + idx] = {now + chan_lat_[ci], vc};
-  ++chan_ccount_[ci];
-}
-
-void SoaEngine::deliver(int r, Cycle now) {
-  const std::size_t pbase = port_base_[static_cast<std::size_t>(r)];
-  const int net = net_ports_[static_cast<std::size_t>(r)];
-  for (int p = 0; p < net; ++p) {
-    const std::size_t pidx = pbase + static_cast<std::size_t>(p);
-    // Flits arriving from the upstream neighbor.
-    const std::size_t ci = static_cast<std::size_t>(in_chan_[pidx]);
-    while (chan_fcount_[ci] > 0) {
-      const ChanFlit& entry = chan_flits_[chan_base_[ci] + chan_fhead_[ci]];
-      if (entry.arrival > now) break;
-      const std::size_t s = pidx * static_cast<std::size_t>(vcs_) +
-                            static_cast<std::size_t>(entry.vc);
-      SHG_ASSERT(buf_count_[s] < depth_,
-                 "credit protocol violated: buffer overflow");
-      // A flit landing in an empty idle slot is a fresh head awaiting route
-      // computation (state only returns to idle after a tail departs).
-      if (buf_count_[s] == 0 && ivc_state_[s] == kIdle) {
-        ++route_pending_[static_cast<std::size_t>(r)];
-      }
-      push_buf(s, now + delay_, entry.pkt, entry.flags);
-      ++buffered_[static_cast<std::size_t>(r)];
-      chan_fhead_[ci] = static_cast<std::uint16_t>(
-          chan_fhead_[ci] + 1 == chan_cap_[ci] ? 0 : chan_fhead_[ci] + 1);
-      --chan_fcount_[ci];
-    }
-    // Credits returning from the downstream neighbor.
-    const std::size_t co = static_cast<std::size_t>(out_chan_[pidx]);
-    while (chan_ccount_[co] > 0) {
-      const ChanCredit& entry =
-          chan_credits_[chan_base_[co] + chan_chead_[co]];
-      if (entry.arrival > now) break;
-      ++ovc_credits_[pidx * static_cast<std::size_t>(vcs_) +
-                     static_cast<std::size_t>(entry.vc)];
-      chan_chead_[co] = static_cast<std::uint16_t>(
-          chan_chead_[co] + 1 == chan_cap_[co] ? 0 : chan_chead_[co] + 1);
-      --chan_ccount_[co];
-      --total_credits_;
-      --work_[static_cast<std::size_t>(r)];
-    }
-  }
+  for (const std::uint32_t o : arrivals.credits) ++ovc_credits_[o];
+  total_credits_ -= static_cast<long long>(arrivals.credits.size());
+  arrivals.flits.clear();
+  arrivals.credits.clear();
 }
 
 void SoaEngine::ni_inject(int r, Cycle now) {
@@ -364,9 +301,7 @@ void SoaEngine::ni_inject(int r, Cycle now) {
     if (tail) flags |= kTail;
     const std::size_t s = pidx * static_cast<std::size_t>(vcs_) +
                           static_cast<std::size_t>(chosen);
-    if (buf_count_[s] == 0 && ivc_state_[s] == kIdle) {
-      ++route_pending_[static_cast<std::size_t>(r)];
-    }
+    if (buf_count_[s] == 0 && ivc_state_[s] == kIdle) route_later(r, s);
     push_buf(s, now + delay_, pkt, flags);
     ++buffered_[static_cast<std::size_t>(r)];
     if (fi + 1 == pkt_flits_) {
@@ -378,7 +313,11 @@ void SoaEngine::ni_inject(int r, Cycle now) {
   }
 }
 
-void SoaEngine::compute_route(int r, int port, int vc, std::size_t s) {
+void SoaEngine::compute_route(int r, std::size_t s) {
+  const std::size_t pbase = port_base_[static_cast<std::size_t>(r)];
+  const std::size_t local = s - pbase * static_cast<std::size_t>(vcs_);
+  const int port = static_cast<int>(local / static_cast<std::size_t>(vcs_));
+  const int vc = static_cast<int>(local % static_cast<std::size_t>(vcs_));
   const BufFlit& head = buf_[s * static_cast<std::size_t>(depth_) +
                              static_cast<std::size_t>(buf_head_[s])];
   SHG_ASSERT((head.flags & kHead) != 0,
@@ -408,8 +347,9 @@ void SoaEngine::compute_route(int r, int port, int vc, std::size_t s) {
     SHG_ASSERT(ivc_routes_len_[s] > 0, "routing returned no candidates");
   }
   ivc_state_[s] = kVcAlloc;
-  --route_pending_[static_cast<std::size_t>(r)];
-  ++va_pending_[static_cast<std::size_t>(r)];
+  std::int32_t& waiting = va_pending_[static_cast<std::size_t>(r)];
+  va_list_[pbase * static_cast<std::size_t>(vcs_) +
+           static_cast<std::size_t>(waiting++)] = static_cast<std::uint32_t>(s);
 }
 
 int SoaEngine::first_port(int r, int to) {
@@ -436,9 +376,9 @@ void SoaEngine::append_band(int r, int in_port, int in_vc, int to,
 void SoaEngine::compute_route_ugal(int r, std::size_t s, int in_port,
                                    int in_vc, std::int32_t pkt, int dest) {
   // Mirrors Router::compute_route_ugal decision-for-decision; the occupancy
-  // reads touch only this router's output credit counters, which deliver(r)
-  // settled before allocate(r) in both engines (phase commutation across
-  // routers), so the choice is engine-independent.
+  // reads touch only this router's output credit counters, which this
+  // cycle's arrivals settled before allocate(r) in both engines (phase
+  // commutation across routers), so the choice is engine-independent.
   const bool on_escape =
       in_port >= 0 && in_vc >= 0 && in_vc < kUgalEscapeVcs;
   std::int32_t& via = pk_via_[static_cast<std::size_t>(pkt)];
@@ -490,49 +430,43 @@ void SoaEngine::allocate(int r, Cycle now) {
   const std::size_t sbase = pbase * static_cast<std::size_t>(vcs);
 
   // --- Route computation for fresh heads --------------------------------
-  if (route_pending_[static_cast<std::size_t>(r)] > 0) {
-    for (int p = 0; p < ports; ++p) {
-      for (int v = 0; v < vcs; ++v) {
-        const std::size_t s = sbase + static_cast<std::size_t>(p * vcs + v);
-        if (ivc_state_[s] == kIdle && buf_count_[s] > 0) {
-          compute_route(r, p, v, s);
-        }
-      }
-    }
+  std::int32_t& routes_due = route_pending_[static_cast<std::size_t>(r)];
+  for (std::int32_t k = 0; k < routes_due; ++k) {
+    compute_route(r, route_list_[sbase + static_cast<std::size_t>(k)]);
   }
+  routes_due = 0;
 
   // --- VC allocation ------------------------------------------------------
   // Each waiting input VC requests its most-preferred candidate with a free
   // output VC; requests are grouped per output VC and granted round-robin.
-  if (va_pending_[static_cast<std::size_t>(r)] > 0) {
+  std::int32_t& va_due = va_pending_[static_cast<std::size_t>(r)];
+  if (va_due > 0) {
+    std::uint32_t* waiting = &va_list_[sbase];
     va_requests_.clear();
-    for (int p = 0; p < ports; ++p) {
-      for (int v = 0; v < vcs; ++v) {
-        const std::size_t s = sbase + static_cast<std::size_t>(p * vcs + v);
-        if (ivc_state_[s] != kVcAlloc) continue;
-        int request = -1;
-        const RouteCandidate* cands = ivc_routes_[s];
-        const int len = ivc_routes_len_[s];
-        for (int ci = 0; ci < len; ++ci) {
-          const RouteCandidate& cand = cands[ci];
-          // UGAL mode: adaptive-band candidates additionally require a
-          // credit, so a stuck head can always fall through to the escape
-          // candidate instead of camping on a starved adaptive VC.
-          const bool needs_credit =
-              ugal_mode_ && cand.vc_begin >= kUgalEscapeVcs;
-          for (int ov = cand.vc_begin; ov < cand.vc_end; ++ov) {
-            const std::size_t o =
-                sbase + static_cast<std::size_t>(cand.out_port * vcs + ov);
-            if (!ovc_busy_[o] && (!needs_credit || ovc_credits_[o] > 0)) {
-              request = cand.out_port * vcs + ov;
-              break;
-            }
+    for (std::int32_t k = 0; k < va_due; ++k) {
+      const std::size_t s = waiting[k];
+      int request = -1;
+      const RouteCandidate* cands = ivc_routes_[s];
+      const int len = ivc_routes_len_[s];
+      for (int ci = 0; ci < len; ++ci) {
+        const RouteCandidate& cand = cands[ci];
+        // UGAL mode: adaptive-band candidates additionally require a
+        // credit, so a stuck head can always fall through to the escape
+        // candidate instead of camping on a starved adaptive VC.
+        const bool needs_credit =
+            ugal_mode_ && cand.vc_begin >= kUgalEscapeVcs;
+        for (int ov = cand.vc_begin; ov < cand.vc_end; ++ov) {
+          const std::size_t o =
+              sbase + static_cast<std::size_t>(cand.out_port * vcs + ov);
+          if (!ovc_busy_[o] && (!needs_credit || ovc_credits_[o] > 0)) {
+            request = cand.out_port * vcs + ov;
+            break;
           }
-          if (request >= 0) break;
         }
-        if (request >= 0) {
-          va_requests_.emplace_back(request, p * vcs + v);
-        }
+        if (request >= 0) break;
+      }
+      if (request >= 0) {
+        va_requests_.emplace_back(request, static_cast<int>(s - sbase));
       }
     }
     std::sort(va_requests_.begin(), va_requests_.end());
@@ -560,10 +494,17 @@ void SoaEngine::allocate(int r, Cycle now) {
       ovc_busy_[sbase + static_cast<std::size_t>(out_key)] = 1;
       va_rr_[sbase + static_cast<std::size_t>(out_key)] =
           (in_key + 1) % (ports * vcs);
-      --va_pending_[static_cast<std::size_t>(r)];
       ++active_ivcs_[static_cast<std::size_t>(r)];
       ++port_active_[pbase + static_cast<std::size_t>(in_key / vcs)];
       i = j;
+    }
+    // Granted slots leave the VA list; the rest wait for the next cycle.
+    if (!va_requests_.empty()) {
+      std::int32_t kept = 0;
+      for (std::int32_t k = 0; k < va_due; ++k) {
+        if (ivc_state_[waiting[k]] == kVcAlloc) waiting[kept++] = waiting[k];
+      }
+      va_due = kept;
     }
   }
 
@@ -637,29 +578,29 @@ void SoaEngine::allocate(int r, Cycle now) {
     // exactly the routers the head crossed — so counting head traversals
     // into the per-packet array is equivalent.
     if (flit.flags & kHead) ++pk_hops_[static_cast<std::size_t>(flit.pkt)];
+    --work_[static_cast<std::size_t>(r)];
     if (out_port >= net) {
       // Ejection; the endpoint sink consumes immediately (credit net zero).
-      eject_buf_.push_back(EjectRec{r, flit.pkt, flit.flags});
-      --work_[static_cast<std::size_t>(r)];
+      eject_buf_.push_back(EjectRec{r * local_ports_ + out_port - net,
+                                    flit.pkt, flit.flags});
       --total_flits_;
     } else {
       --ovc_credits_[os];
-      const int c = out_chan_[pbase + static_cast<std::size_t>(out_port)];
-      push_chan_flit(c, now, flit.pkt, out_v, flit.flags);
-      const int nbr = chan_dst_[static_cast<std::size_t>(c)];
-      --work_[static_cast<std::size_t>(r)];
-      ++work_[static_cast<std::size_t>(nbr)];
-      activate(nbr);
+      const PortLink& link = links_[pbase + static_cast<std::size_t>(out_port)];
+      bucket_after(link.latency)
+          .flits.push_back(FlitArrival{
+              link.peer * static_cast<std::uint32_t>(vcs) +
+                  static_cast<std::uint32_t>(out_v),
+              link.router, flit.pkt, flit.flags});
     }
     // Return the freed buffer slot upstream (network inputs only; the NI
     // observes local buffer occupancy directly).
     if (winner < net) {
-      const int c = in_chan_[pbase + static_cast<std::size_t>(winner)];
-      push_chan_credit(c, now, iv);
+      const PortLink& link = links_[pbase + static_cast<std::size_t>(winner)];
+      bucket_after(link.latency)
+          .credits.push_back(link.peer * static_cast<std::uint32_t>(vcs) +
+                             static_cast<std::uint32_t>(iv));
       ++total_credits_;
-      const int up = chan_src_[static_cast<std::size_t>(c)];
-      ++work_[static_cast<std::size_t>(up)];
-      activate(up);
     }
     if (flit.flags & kTail) {
       ovc_busy_[os] = 0;
@@ -672,7 +613,7 @@ void SoaEngine::allocate(int r, Cycle now) {
       --port_active_[pbase + static_cast<std::size_t>(winner)];
       // The next packet's head may already be buffered behind the departed
       // tail; it becomes route-pending now that the slot is idle again.
-      if (buf_count_[s] > 0) ++route_pending_[static_cast<std::size_t>(r)];
+      if (buf_count_[s] > 0) route_later(r, s);
     }
   }
 }
@@ -698,7 +639,7 @@ SimResult SoaEngine::run() {
   Cycle now = 0;
   for (; now < hard_end; ++now) {
     // --- Quiescence fast-forward ------------------------------------------
-    // With no flit anywhere and no credit on any channel, every cycle until
+    // With no flit anywhere and no credit on the wheel, every cycle until
     // the next scheduled injection is a provable no-op (allocators skip
     // empty routers bit-identically, round-robin state is frozen, and no
     // termination check can fire before generation_end — scheduled
@@ -728,26 +669,26 @@ SimResult SoaEngine::run() {
       activate(tile);
     }
 
-    // --- One network cycle over the active routers ------------------------
-    // Phases commute across routers (channel entries are timestamped at
-    // now + latency >= now + 1, so nothing pushed this cycle is visible
-    // this cycle), which lets deliver/inject/allocate fuse per router.
-    // Routers activated during the pass (flits or credits sent their way)
-    // are appended beyond the snapshot and start next cycle.
-    const std::size_t n_active = active_.size();
-    for (std::size_t i = 0; i < n_active; ++i) {
-      const int r = active_[i];
-      deliver(r, now);
+    // --- Arrivals, then one network cycle over the active routers ---------
+    // Everything due this cycle lands before any router runs. Phases commute
+    // across routers (wheel entries land at now + latency >= now + 1, so
+    // nothing sent this cycle is visible this cycle), which lets
+    // inject/allocate fuse per router; no router joins the list mid-pass.
+    land(now);
+    for (const int r : active_) {
       ni_inject(r, now);
       allocate(r, now);
     }
 
     // --- Harvest ejected flits (reference order: tile-ascending) ----------
+    // A router runs once per cycle and grants its ejection ports in
+    // ascending order, so the reference's stable tile order is the order of
+    // the (unique) endpoint keys; std::sort needs no scratch buffer.
     if (!eject_buf_.empty()) {
-      std::stable_sort(eject_buf_.begin(), eject_buf_.end(),
-                       [](const EjectRec& a, const EjectRec& b) {
-                         return a.tile < b.tile;
-                       });
+      std::sort(eject_buf_.begin(), eject_buf_.end(),
+                [](const EjectRec& a, const EjectRec& b) {
+                  return a.endpoint < b.endpoint;
+                });
       for (const EjectRec& e : eject_buf_) {
         last_ejection = now;
         if (now >= config_.warmup_cycles && now < generation_end) {

@@ -3,36 +3,43 @@
 // Produces results bit-identical to the reference AoS path (Simulator's
 // Network/Router/Channel objects) — same PRNG draw order, same allocator
 // decisions, same floating-point accumulation order, same cycle count —
-// while replacing its three scaling bottlenecks:
+// while replacing its scaling bottlenecks:
 //
-//  * Flat slabs instead of per-object deques. Input-VC buffers, channel
-//    pipelines and credit queues live in fixed-capacity ring buffers inside
-//    network-owned arenas indexed by (router, port, vc) / channel id; a
-//    flit is a 16-byte {cycle, packet, flags} entry and per-packet metadata
-//    (src, dest, eject port, hop count) lives in packet-indexed arrays
-//    filled once at generation. No push_back/pop_front churn, no pointer
-//    chasing, no per-flit copies of cold fields.
+//  * Flat slabs instead of per-object deques. Input-VC buffers are
+//    fixed-capacity rings inside one network-owned arena indexed by
+//    (router, port, vc); a buffered flit is a 16-byte {cycle, packet, flags}
+//    entry and per-packet metadata (src, dest, eject port, hop count) lives
+//    in packet-indexed arrays filled once at generation. No
+//    push_back/pop_front churn, no pointer chasing, no per-flit copies of
+//    cold fields.
+//
+//  * An arrival wheel instead of per-channel pipelines. A flit or credit
+//    sent over a link of latency L at cycle t is written into the wheel
+//    bucket of cycle t + L (max link latency + 1 buckets); one land() pass
+//    at the start of each cycle applies that cycle's bucket — flits into
+//    their input-VC buffers, credits onto their output-VC counters — so no
+//    router polls its links for arrivals.
 //
 //  * An active-router worklist instead of full-network sweeps. Every router
-//    carries a work counter (buffered flits + NI-queued flits + flits
-//    approaching on its input channels + credits approaching on its output
-//    channels); only routers with work are processed. Router phases commute
-//    across routers (channels are timestamped, so nothing pushed in cycle t
-//    is visible before t+1), except that ejection statistics must
-//    accumulate in the reference tile order — ejections therefore collect
-//    into a per-cycle buffer that is stable-sorted by tile before the
-//    statistics pass.
+//    carries a work counter (buffered flits + NI-queued flits); only routers
+//    holding flits are processed, and a router joins the list when a flit
+//    lands in it or a packet enters its NI queue. Router phases commute
+//    across routers (wheel entries land at now + latency >= now + 1, so
+//    nothing sent in cycle t is visible before t+1), except that ejection
+//    statistics must accumulate in the reference tile order — ejections
+//    therefore collect into a per-cycle buffer that is sorted by endpoint
+//    before the statistics pass.
 //
 //  * Whole-network quiescence fast-forward. The injection schedule is a
 //    pure function of the seed (no draw depends on network state, source
 //    queues are unbounded), so it is pre-generated draw-for-draw. When
-//    nothing is in flight — no flit anywhere AND no credit on a channel —
+//    nothing is in flight — no flit anywhere AND no credit on the wheel —
 //    every cycle until the next scheduled injection is a provable no-op and
 //    `now` jumps there directly, preserving the exact cycle count the
 //    reference loop reports.
 //
 // See ARCHITECTURE.md ("Simulator hot loop") for the invariants that make
-// the three equivalences exact.
+// the equivalences exact.
 #pragma once
 
 #include <cstdint>
@@ -85,22 +92,29 @@ class SoaEngine {
     std::int32_t pkt = 0;
     std::uint8_t flags = 0;
   };
-  /// A flit traversing a channel pipeline.
-  struct ChanFlit {
-    Cycle arrival = 0;
+  /// A flit on a link, landing in input-VC slot `slot` of `router`.
+  struct FlitArrival {
+    std::uint32_t slot = 0;
+    std::int32_t router = 0;
     std::int32_t pkt = 0;
-    std::int16_t vc = 0;
     std::uint8_t flags = 0;
   };
-  /// A credit traversing a channel (upstream direction).
-  struct ChanCredit {
-    Cycle arrival = 0;
-    std::int32_t vc = 0;
+  /// What lands in one cycle: flits, and credits as the upstream output-VC
+  /// slot they return to.
+  struct Bucket {
+    std::vector<FlitArrival> flits;
+    std::vector<std::uint32_t> credits;
   };
-  /// One ejected flit, buffered per cycle and sorted by tile so statistics
-  /// accumulate in the reference harvest order.
+  /// The far end of a network port's link.
+  struct PortLink {
+    std::uint32_t peer = 0;  ///< flat port id at the neighbor
+    std::int32_t router = 0;  ///< the neighbor
+    std::int32_t latency = 0;
+  };
+  /// One ejected flit, buffered per cycle and sorted by endpoint so
+  /// statistics accumulate in the reference harvest order.
   struct EjectRec {
-    std::int32_t tile = 0;
+    std::int32_t endpoint = 0;  ///< tile * local ports + local port
     std::int32_t pkt = 0;
     std::uint8_t flags = 0;
   };
@@ -140,10 +154,25 @@ class SoaEngine {
     }
   }
 
-  void deliver(int r, Cycle now);
+  /// Applies the wheel bucket of cycle `now` and makes it the current one.
+  void land(Cycle now);
+  /// The wheel bucket `latency` cycles after the current one.
+  Bucket& bucket_after(int latency) {
+    std::size_t i = wheel_now_ + static_cast<std::size_t>(latency);
+    if (i >= wheel_.size()) i -= wheel_.size();
+    return wheel_[i];
+  }
   void ni_inject(int r, Cycle now);
   void allocate(int r, Cycle now);
-  void compute_route(int r, int port, int vc, std::size_t s);
+  /// Queues slot s of router r for route computation.
+  void route_later(int r, std::size_t s) {
+    const std::size_t ri = static_cast<std::size_t>(r);
+    route_list_[port_base_[ri] * static_cast<std::size_t>(vcs_) +
+                static_cast<std::size_t>(route_pending_[ri]++)] =
+        static_cast<std::uint32_t>(s);
+  }
+  /// Computes slot s's route and moves it onto router r's VA list.
+  void compute_route(int r, std::size_t s);
   /// Candidate row for state (in_port, in_vc) toward `dest` at router r: a
   /// table lookup, or a live route() call into the scratch buffer, valid
   /// until the next row() call. Inline, so the table path stays a pair of
@@ -188,9 +217,6 @@ class SoaEngine {
 
   void push_buf(std::size_t s, Cycle ready, std::int32_t pkt,
                 std::uint8_t flags);
-  void push_chan_flit(int c, Cycle now, std::int32_t pkt, int vc,
-                      std::uint8_t flags);
-  void push_chan_credit(int c, Cycle now, int vc);
 
   // --- Configuration (copied out of SimConfig for tight loop access) -----
   SimConfig config_;
@@ -212,24 +238,15 @@ class SoaEngine {
   // --- Fabric layout ------------------------------------------------------
   std::vector<int> net_ports_;          ///< per router
   std::vector<std::size_t> port_base_;  ///< per router: first flat port id
-  std::vector<int> in_chan_;            ///< per flat net port: channel in
-  std::vector<int> out_chan_;           ///< per flat net port: channel out
-  std::vector<int> chan_src_;           ///< per channel: producing router
-  std::vector<int> chan_dst_;           ///< per channel: consuming router
-  std::vector<int> chan_lat_;           ///< per channel: latency, cycles
-  std::vector<int> chan_cap_;           ///< per channel: ring capacity
-  std::vector<std::size_t> chan_base_;  ///< per channel: slab offset
+  std::vector<PortLink> links_;         ///< per flat net port
 
   // --- Hot state slabs ----------------------------------------------------
   std::vector<BufFlit> buf_;              ///< input VC buffers, slot * depth
   std::vector<std::uint16_t> buf_head_;   ///< per slot: ring head
   std::vector<std::uint16_t> buf_count_;  ///< per slot: occupancy
-  std::vector<ChanFlit> chan_flits_;
-  std::vector<std::uint16_t> chan_fhead_;
-  std::vector<std::uint16_t> chan_fcount_;
-  std::vector<ChanCredit> chan_credits_;
-  std::vector<std::uint16_t> chan_chead_;
-  std::vector<std::uint16_t> chan_ccount_;
+  /// Arrival wheel: bucket t % size holds what lands at cycle t.
+  std::vector<Bucket> wheel_;
+  std::size_t wheel_now_ = 0;  ///< bucket of the cycle being simulated
 
   // Input-VC allocation state (per slot).
   std::vector<std::uint8_t> ivc_state_;
@@ -248,13 +265,18 @@ class SoaEngine {
   std::vector<std::int32_t> sa_in_rr_;   ///< per flat port
   std::vector<std::int32_t> sa_out_rr_;  ///< per flat port
 
-  // Allocator phase occupancy, so allocate() skips phases with no eligible
-  // slot instead of re-scanning every (port, vc) each cycle. Pure
-  // skip-empty-work: round-robin pointers only move on grants, and a phase
-  // with zero eligible slots grants nothing, so skipping it is
-  // bit-identical to scanning it.
-  std::vector<std::int32_t> route_pending_;  ///< per router: idle slots w/ flits
-  std::vector<std::int32_t> va_pending_;     ///< per router: slots in kVcAlloc
+  // Allocator work, so allocate() visits only the slots a phase can act on
+  // instead of re-scanning every (port, vc) each cycle. Router r's route and
+  // VA lists sit in its own slot range, [first slot, + pending count): a
+  // slot is route-pending from when it is idle and holds a flit until its
+  // route is computed, and VA-pending while in kVcAlloc. Route computation
+  // and VC requests are per slot and order-free (requests are sorted before
+  // arbitration), and round-robin pointers only move on grants, so the
+  // lists and counters decide exactly what a full sweep decides.
+  std::vector<std::uint32_t> route_list_;    ///< per router: slots to route
+  std::vector<std::int32_t> route_pending_;  ///< per router: route list length
+  std::vector<std::uint32_t> va_list_;       ///< per router: slots in kVcAlloc
+  std::vector<std::int32_t> va_pending_;     ///< per router: VA list length
   std::vector<std::int32_t> active_ivcs_;    ///< per router: slots in kActive
   std::vector<std::uint8_t> port_active_;    ///< per flat port: kActive slots
 
@@ -265,12 +287,12 @@ class SoaEngine {
   std::vector<std::int32_t> ni_next_vc_;
 
   // Worklist.
-  std::vector<long long> work_;      ///< per router: flits + credits pending
+  std::vector<long long> work_;      ///< per router: buffered + NI flits
   std::vector<long long> buffered_;  ///< per router: flits in input VCs
   std::vector<std::uint8_t> queued_;
   std::vector<int> active_;
-  long long total_flits_ = 0;    ///< NI queues + buffers + channels
-  long long total_credits_ = 0;  ///< credits on channels
+  long long total_flits_ = 0;    ///< NI queues + buffers + wheel
+  long long total_credits_ = 0;  ///< credits on the wheel
 
   // Per-packet metadata (filled by pregenerate; index = packet id).
   std::vector<Cycle> pk_create_;

@@ -36,6 +36,16 @@ std::vector<int> unit_latencies(const topo::Topology& topo) {
                           1);
 }
 
+/// Link latencies of 1..9 cycles, varied edge by edge.
+std::vector<int> long_latencies(const topo::Topology& topo) {
+  std::vector<int> latencies(
+      static_cast<std::size_t>(topo.graph().num_edges()));
+  for (std::size_t e = 0; e < latencies.size(); ++e) {
+    latencies[e] = 1 + static_cast<int>(e % 9);
+  }
+  return latencies;
+}
+
 /// The table a campaign would share across every run on `topo`.
 std::shared_ptr<const RouteTable> shared_table(const topo::Topology& topo,
                                                const SimConfig& config) {
@@ -156,6 +166,38 @@ TEST(SoaBitIdentity, NonUnitLinkLatenciesAndDeeperBuffers) {
     latencies[e] = 1 + static_cast<int>(e % 3);
   }
   expect_bit_identical(topo, latencies, config, "uniform", 1);
+}
+
+TEST(SoaBitIdentity, LongLinksShallowBuffers) {
+  // Links of up to 9 cycles in front of 2-flit buffers: one link carries
+  // several flits and several credits at once, and a sender keeps waiting
+  // on credits still in flight, since the round trip outlasts the buffer.
+  SimConfig config = fast_config();
+  config.buffer_depth_flits = 2;
+  config.injection_rate = 0.1;
+  for (const auto& topo : {topo::make_torus(4, 4),
+                           topo::make_sparse_hamming(4, 4, {2}, {2, 3})}) {
+    SCOPED_TRACE(topo.name());
+    const std::vector<int> latencies = long_latencies(topo);
+    expect_bit_identical(topo, latencies, config, "uniform", 1);
+    expect_bit_identical(topo, latencies, config, "transpose", 1);
+  }
+}
+
+TEST(SoaBitIdentity, LongLinksQuiescentFastForward) {
+  // The same long, shallow fabric at a near-zero rate: the network drains
+  // between packets, so quiescence fast-forward jumps over many turns of
+  // the 10-bucket arrival wheel and must land every later arrival on its
+  // own cycle. At this rate packets often start while the previous one's
+  // last credits are still on their links, so a jump taken before those
+  // credits land is caught here.
+  const auto topo = topo::make_torus(4, 4);
+  SimConfig config = fast_config();
+  config.buffer_depth_flits = 2;
+  config.injection_rate = 0.003;
+  config.warmup_cycles = 2000;
+  config.measure_cycles = 6000;
+  expect_bit_identical(topo, long_latencies(topo), config, "uniform", 1);
 }
 
 TEST(SoaBitIdentity, LiveRoutingWithoutTable) {

@@ -29,6 +29,17 @@ std::vector<int> unit_latencies(const topo::Topology& topo) {
                           1);
 }
 
+/// Link latencies of 1..5 cycles, varied edge by edge, so credits return
+/// to different output ports after different delays.
+std::vector<int> staggered_latencies(const topo::Topology& topo) {
+  std::vector<int> latencies(
+      static_cast<std::size_t>(topo.graph().num_edges()));
+  for (std::size_t e = 0; e < latencies.size(); ++e) {
+    latencies[e] = 1 + static_cast<int>(e % 5);
+  }
+  return latencies;
+}
+
 SimConfig ugal_config() {
   SimConfig config;
   config.routing_policy = RoutingPolicy::kUgal;
@@ -54,15 +65,17 @@ std::shared_ptr<const RouteTable> shared_table(const topo::Topology& topo,
 }
 
 /// One run on the SoA engine, or on the reference engine when `reference`;
-/// from `table` when given, otherwise routing live.
+/// from `table` when given, otherwise routing live; over `latencies` when
+/// given, otherwise unit-latency links.
 RunOutcome run_once(const topo::Topology& topo, const SimConfig& config,
                     const std::string& spec_text, bool reference,
-                    std::shared_ptr<const RouteTable> table = nullptr) {
+                    std::shared_ptr<const RouteTable> table = nullptr,
+                    const std::vector<int>& latencies = {}) {
   const TrafficSpec spec = TrafficSpec::parse(spec_text);
   const auto pattern =
       spec.make_pattern(topo.rows(), topo.cols(), topo.concentration());
-  Simulator sim(topo, unit_latencies(topo), config, *pattern, 1, nullptr,
-                std::move(table));
+  Simulator sim(topo, latencies.empty() ? unit_latencies(topo) : latencies,
+                config, *pattern, 1, nullptr, std::move(table));
   RunOutcome out;
   out.result = reference ? sim.run_reference() : sim.run();
   out.nonminimal = sim.ugal_nonminimal_choices();
@@ -75,14 +88,16 @@ RunOutcome run_once(const topo::Topology& topo, const SimConfig& config,
 /// keeps them so).
 RunOutcome expect_engines_identical(const topo::Topology& topo,
                                     const SimConfig& config,
-                                    const std::string& spec_text) {
+                                    const std::string& spec_text,
+                                    const std::vector<int>& latencies = {}) {
   const auto table = shared_table(topo, config);
-  const RunOutcome soa = run_once(topo, config, spec_text, false);
+  const RunOutcome soa =
+      run_once(topo, config, spec_text, false, nullptr, latencies);
   for (const bool reference : {false, true}) {
     for (const bool tabled : {false, true}) {
       if (!reference && !tabled) continue;  // `soa` itself
       const RunOutcome other = run_once(topo, config, spec_text, reference,
-                                        tabled ? table : nullptr);
+                                        tabled ? table : nullptr, latencies);
       const std::string what = topo.name() + " / " + spec_text +
                                (reference ? " reference" : " soa") +
                                (tabled ? " table" : " live");
@@ -469,6 +484,26 @@ TEST(UgalBitIdentity, NonminimalChoicesFireUnderAdversarialLoad) {
   const RunOutcome out = expect_engines_identical(topo, config, "transpose");
   EXPECT_GT(out.nonminimal, 0);
   EXPECT_TRUE(out.result.drained);
+}
+
+TEST(UgalBitIdentity, NonUnitLinkLatencies) {
+  // UGAL's injection-time choice reads output-VC credit counts, which
+  // depend on when each credit lands; links of 1..5 cycles make those
+  // landings differ port by port. Both a moderate and a saturating load,
+  // and the saturating one must take Valiant legs.
+  for (const auto& topo : {topo::make_mesh(4, 4), topo::make_torus(4, 4)}) {
+    SCOPED_TRACE(topo.name());
+    const std::vector<int> latencies = staggered_latencies(topo);
+    SimConfig config = ugal_config();
+    config.injection_rate = 0.12;
+    expect_engines_identical(topo, config, "uniform", latencies);
+    config.injection_rate = 0.5;
+    config.drain_cycles = 40000;
+    const RunOutcome out =
+        expect_engines_identical(topo, config, "transpose", latencies);
+    EXPECT_GT(out.nonminimal, 0);
+    EXPECT_TRUE(out.result.drained);
+  }
 }
 
 // --- Determinism ------------------------------------------------------------
