@@ -712,7 +712,7 @@ BenchResult bench_dse_greedy_routing_incremental(bool* equivalent) {
 
   // Channel-router differential oracle: over random SHG skip-insertion
   // trajectories, the context's repaired loads must be bit-identical to
-  // global_route_loads on the materialized child (default exact mode).
+  // global_route_loads on the materialized child.
   bool oracle_ok = true;
   Prng rng(0x70410u);
   for (int trial = 0; trial < 8 && oracle_ok; ++trial) {
@@ -742,11 +742,8 @@ BenchResult bench_dse_greedy_routing_incremental(bool* equivalent) {
     const phys::GlobalRoutingResult fresh = phys::global_route_loads(child);
     phys::GlobalRoutingResult repaired;
     ctx.route_child_loads(new_rows, new_cols, &repaired);
-    const phys::GlobalRoutingResult generic = ctx.route_child_loads(child);
     if (repaired.h_loads != fresh.h_loads ||
-        repaired.v_loads != fresh.v_loads ||
-        generic.h_loads != fresh.h_loads ||
-        generic.v_loads != fresh.v_loads) {
+        repaired.v_loads != fresh.v_loads) {
       oracle_ok = false;
       std::fprintf(stderr, "routing oracle: loads diverged on trial %d\n",
                    trial);

@@ -267,19 +267,6 @@ Fingerprint fingerprint_topology(const topo::Topology& topo) {
   return b.done();
 }
 
-Fingerprint fingerprint_child(const Fingerprint& arch_fp,
-                              const Fingerprint& parent_fp,
-                              const std::vector<graph::Edge>& new_edges) {
-  FingerprintBuilder b;
-  b.tag("shg.candidate.child.exact.v1");
-  b.fp(arch_fp).fp(parent_fp);
-  b.u64(new_edges.size());
-  for (const graph::Edge& e : new_edges) {
-    b.i64(e.u).i64(e.v);
-  }
-  return b.done();
-}
-
 // Tripwire: a new SimConfig field changes the struct size on the LP64
 // platforms CI runs, forcing whoever adds it to extend
 // fingerprint_sim_config below (and the perturb-every-field test in

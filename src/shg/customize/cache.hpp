@@ -29,11 +29,8 @@
 //    for any decomposition (oracle-tested), so the canonical key is the
 //    *union* (the child's final skip sets) and hits transfer across
 //    different search trajectories.
-//  * `fingerprint_topology` / `fingerprint_child` — arbitrary-family
-//    parents (edge list in edge-id order) and their added-edge children.
-//    The delta is fingerprinted in *append order*: channel routing depends
-//    on the order links enter their length class, so two deltas with equal
-//    edge sets but different orders are distinct candidates.
+//  * `fingerprint_topology` — an arbitrary-family topology (grid shape plus
+//    edge list in edge-id order); the simulation keys below build on it.
 //  * `fingerprint_sim_config` / `fingerprint_sim_topology` /
 //    `fingerprint_sim_cell` — one experiment cell of the evaluation engine
 //    (eval/experiment.hpp): the simulated topology (edges, family kind —
@@ -163,18 +160,12 @@ Fingerprint fingerprint_shg_candidate(const Fingerprint& arch_fp,
 /// order within each length class.
 Fingerprint fingerprint_topology(const topo::Topology& topo);
 
-/// Key of a generic added-edge child: (arch, parent topology, delta in
-/// append order).
-Fingerprint fingerprint_child(const Fingerprint& arch_fp,
-                              const Fingerprint& parent_fp,
-                              const std::vector<graph::Edge>& new_edges);
-
 /// Fingerprint of EVERY `sim::SimConfig` field, in declaration order —
 /// including the injection rate and seed (the experiment engine overrides
-/// them per cell before keying) and the result-neutral engine-selection
-/// flags (totality over the struct beats a marginally higher hit rate; see
-/// file comment). The static_assert on sizeof(SimConfig) in cache.cpp
-/// trips when a field is added without extending this routine.
+/// them per cell before keying). Totality over the struct beats a
+/// marginally higher hit rate (see file comment): the static_assert on
+/// sizeof(SimConfig) in cache.cpp trips when a field is added without
+/// extending this routine.
 Fingerprint fingerprint_sim_config(const sim::SimConfig& config);
 
 /// The topology half of an experiment-cell key: everything a simulation

@@ -158,91 +158,6 @@ ScreeningContext ScreeningContext::derive(
   return ScreeningContext(*arch_, child, tile_cache, nullptr);
 }
 
-TopologyScreeningContext::TopologyScreeningContext(
-    const tech::ArchParams& arch, topo::Topology parent)
-    : arch_(&arch),
-      parent_(std::move(parent)),
-      routing_(parent_),
-      degrees_(node_degrees(parent_.graph())) {
-  SHG_REQUIRE(parent_.rows() == arch.rows && parent_.cols() == arch.cols,
-              "parent topology grid does not match the architecture");
-  const graph::Graph& g = parent_.graph();
-  // The routing run doubles as cost-model step 2 for the parent: the
-  // radix+loads overload runs the same step 1/3/4 arithmetic as the
-  // topology overload (pinned bit-identical in tests/cost_model_test.cpp),
-  // so metrics() matches screen_topology(arch, parent) bit for bit.
-  const model::ScreeningCost cost =
-      model::evaluate_screening_cost(arch, parent_.radix(), routing_.loads());
-  const graph::DistanceSummary summary =
-      graph::distance_summary(parent_.graph());
-  SHG_REQUIRE(summary.connected, "screening requires a connected topology");
-  metrics_.area_overhead = cost.area_overhead;
-  metrics_.avg_hops = summary.avg_hops;
-  metrics_.diameter = static_cast<double>(summary.diameter);
-  const double directed_links = 2.0 * g.num_edges();
-  metrics_.throughput_bound =
-      directed_links /
-      (static_cast<double>(parent_.num_tiles()) * metrics_.avg_hops);
-}
-
-CandidateMetrics TopologyScreeningContext::screen_child(
-    const std::vector<graph::Edge>& new_edges,
-    model::TileGeometryCache* tile_cache, Workspace* ws) const {
-  if (new_edges.empty()) return metrics_;
-  Workspace local;
-  if (ws == nullptr) ws = &local;
-  const graph::Graph& g = parent_.graph();
-  const int n = g.num_nodes();
-
-  // Grid links for the routing repair, in append order (the order they
-  // enter the child's greedy classes after the parent's same-length
-  // links); the phys layer normalizes endpoint order itself. The child
-  // must be materializable (Graph rejects parallel edges), so the delta
-  // may neither overlap the parent nor repeat an edge within itself —
-  // a duplicate would silently double-route the link and double-bump its
-  // endpoint degrees, producing metrics for a child that cannot exist.
-  ws->links.clear();
-  std::vector<long long> seen;
-  seen.reserve(new_edges.size());
-  for (const graph::Edge& e : new_edges) {
-    SHG_REQUIRE(!g.has_edge(e.u, e.v),
-                "child delta edges must be absent from the parent");
-    const auto [lo, hi] = std::minmax(e.u, e.v);
-    seen.push_back(static_cast<long long>(lo) * g.num_nodes() + hi);
-    ws->links.push_back(phys::GridLink{parent_.coord(e.u), parent_.coord(e.v)});
-  }
-  std::sort(seen.begin(), seen.end());
-  SHG_REQUIRE(std::adjacent_find(seen.begin(), seen.end()) == seen.end(),
-              "child delta edges must be distinct");
-
-  // Hop metrics: bit-parallel all-pairs sweep over parent + overlay (exact
-  // integer totals — same division operands as screen_topology).
-  ws->overlay.assign(n, new_edges);
-  const graph::AllPairsTotals totals =
-      graph::all_pairs_totals(g, &ws->overlay, ws->bitsweep);
-
-  // Child radix from bumped parent degrees.
-  ws->degrees.assign(degrees_.begin(), degrees_.end());
-  for (const graph::Edge& e : new_edges) {
-    ++ws->degrees[static_cast<std::size_t>(e.u)];
-    ++ws->degrees[static_cast<std::size_t>(e.v)];
-  }
-  int radix = 0;
-  for (const int d : ws->degrees) radix = std::max(radix, d);
-
-  // Channel loads: added-links suffix replay (joint replay when a diagonal
-  // is in the divergent suffix) — bit-identical to routing the
-  // materialized child from scratch.
-  routing_.route_child_loads(ws->links, &ws->loads);
-  const model::ScreeningCost cost =
-      model::evaluate_screening_cost(*arch_, radix, ws->loads, tile_cache);
-
-  return make_metrics(
-      cost, totals, n,
-      g.num_edges() + static_cast<long long>(new_edges.size()),
-      parent_.num_tiles());
-}
-
 namespace {
 
 /// Prefix forest over a candidate batch: every node's parameterization is

@@ -59,9 +59,8 @@
 //    another: the search engines, the explorer and the session-cached
 //    batches all run the stack above, and `screen_candidate` remains only
 //    as the correctness reference.
-//  * Concurrency. `ScreeningContext::screen_child` and
-//    `TopologyScreeningContext::screen_child` are const and safe to call
-//    concurrently on ONE shared context, provided each caller passes its
+//  * Concurrency. `ScreeningContext::screen_child` is const and safe to
+//    call concurrently on ONE shared context, provided each caller passes its
 //    own `tile_cache` / `ws` (use `parallel_for_with_worker` for
 //    worker-pinned scratch). `rebase` and `derive` mutate / read-snapshot
 //    the context and require exclusive access — no concurrent
@@ -73,7 +72,6 @@
 #include <vector>
 
 #include "shg/customize/search.hpp"
-#include "shg/graph/shortest_paths.hpp"
 #include "shg/phys/incremental_route.hpp"
 
 namespace shg::customize {
@@ -143,60 +141,6 @@ class ScreeningContext {
   /// Reuse state built with topo_: the parent's incremental router and the
   /// per-node degrees screen_child bumps for child radices. Nothing scales
   /// with the number of node pairs.
-  phys::RoutingContext routing_;
-  std::vector<int> degrees_;
-  CandidateMetrics metrics_;
-};
-
-/// Incremental screening for non-SHG families: a parent topology of ANY
-/// family (SlimNoC, torus, mesh, custom) plus added-edge children. Before
-/// this existed, screening such children meant a fresh sweep and a
-/// from-scratch channel route per child. Such a child is no Cartesian
-/// product of two lines, so its hop metrics come from `graph::EdgeOverlay`
-/// plus the bit-parallel all-pairs sweep; the rest is the SHG stack —
-/// bumped parent degrees for the radix and the `phys::RoutingContext`
-/// added-links suffix replay (which handles diagonal links with a
-/// joint-orientation replay) for the channel loads. No child Topology is
-/// ever materialized.
-///
-/// Exactness: `screen_child` is bit-identical to `screen_topology` on the
-/// parent-copy-plus-add_link child (randomized trajectory oracle in
-/// tests/session_test.cpp over SHG, SlimNoC and torus parents).
-/// Concurrency: `screen_child` is const and safe to share across threads
-/// with per-caller `tile_cache` / `ws`.
-class TopologyScreeningContext {
- public:
-  /// Full screen of `parent` (one routing run + one all-pairs sweep); the
-  /// context keeps a pointer to `arch`, which must outlive it.
-  TopologyScreeningContext(const tech::ArchParams& arch,
-                           topo::Topology parent);
-
-  const topo::Topology& parent() const { return parent_; }
-
-  /// Screening metrics of the parent itself; bit-identical to
-  /// `screen_topology(arch, parent())`.
-  const CandidateMetrics& metrics() const { return metrics_; }
-
-  /// Per-caller scratch; one per thread when screening concurrently.
-  struct Workspace {
-    graph::EdgeOverlay overlay;
-    graph::BitSweepWorkspace bitsweep;
-    std::vector<int> degrees;
-    std::vector<phys::GridLink> links;
-    phys::GlobalRoutingResult loads;
-  };
-
-  /// Screens the child "parent plus `new_edges`" (node ids on the parent
-  /// grid, edges absent from the parent — checked; append order matters,
-  /// it is the order the links enter the router's greedy classes).
-  /// Bit-identical to `screen_topology` on the materialized child.
-  CandidateMetrics screen_child(const std::vector<graph::Edge>& new_edges,
-                                model::TileGeometryCache* tile_cache = nullptr,
-                                Workspace* ws = nullptr) const;
-
- private:
-  const tech::ArchParams* arch_;
-  topo::Topology parent_;
   phys::RoutingContext routing_;
   std::vector<int> degrees_;
   CandidateMetrics metrics_;

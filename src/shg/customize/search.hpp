@@ -63,17 +63,18 @@ struct SearchResult {
 };
 
 /// Options of the search engines. Screening always runs the incremental
-/// stack (customize/incremental.hpp): delta-BFS row reuse, the parent's
-/// channel routing replayed per child (phys/incremental_route.hpp) and
-/// topology-free child pricing. It is exact — bit-identical to
-/// `screen_candidate` on every candidate (oracle-tested) — so there is no
-/// switch back to per-candidate screening.
+/// stack (customize/incremental.hpp): hop totals from the child's two
+/// factor lines (`topo::shg_hop_totals`), the parent's channel routing
+/// replayed per child (phys/incremental_route.hpp) and topology-free child
+/// pricing. It is exact — bit-identical to `screen_candidate` on every
+/// candidate (oracle-tested) — so there is no switch back to per-candidate
+/// screening.
 ///
 /// `session` (default off) attaches a persistent DSE session
 /// (customize/session.hpp): candidates whose fingerprints hit the
 /// session's cache skip re-screening entirely, and the screening context
 /// is only (re)built when a miss actually needs it — a warm re-invocation
-/// over an already-screened space runs no BFS sweep and no channel
+/// over an already-screened space computes no hop totals and no channel
 /// routing at all, yet produces a bit-identical SearchResult (history
 /// notes included; oracle-tested). The session is read and written on the
 /// calling thread only.
@@ -94,11 +95,10 @@ CandidateMetrics screen_candidate(const tech::ArchParams& arch,
                                   const topo::ShgParams& params);
 
 /// Family-generic screening entry: the metrics of an arbitrary topology
-/// over the arch grid (SlimNoC, torus, custom overlays, ...). Runs exactly
-/// the arithmetic of `screen_candidate` — which is now a thin wrapper that
-/// materializes the SHG and calls this — so SHG results are unchanged bit
-/// for bit. Incremental variants live in
-/// `customize::TopologyScreeningContext` (customize/incremental.hpp).
+/// over the arch grid (SlimNoC, torus, mesh, ...), priced from scratch.
+/// Runs exactly the arithmetic of `screen_candidate` — which is a thin
+/// wrapper that materializes the SHG and calls this — so SHG results are
+/// unchanged bit for bit.
 CandidateMetrics screen_topology(const tech::ArchParams& arch,
                                  const topo::Topology& topo);
 

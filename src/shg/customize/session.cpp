@@ -167,15 +167,4 @@ std::vector<CandidateMetrics> screen_batch_cached(
   return out;
 }
 
-CandidateMetrics screen_child_cached(
-    Session& session, const TopologyScreeningContext& ctx,
-    const Fingerprint& arch_fp, const Fingerprint& parent_fp,
-    const std::vector<graph::Edge>& new_edges) {
-  const Fingerprint key = fingerprint_child(arch_fp, parent_fp, new_edges);
-  if (const auto hit = session.lookup(key)) return *hit;
-  const CandidateMetrics metrics = ctx.screen_child(new_edges);
-  session.store(key, metrics);
-  return metrics;
-}
-
 }  // namespace shg::customize

@@ -210,7 +210,7 @@ class Session {
 /// other threads drive the same session concurrently).
 struct ScreenBatchStats {
   std::size_t hits = 0;    ///< batch entries served from the candidate tier
-  std::size_t misses = 0;  ///< batch entries screened (BFS/routing ran)
+  std::size_t misses = 0;  ///< batch entries screened (routing ran)
   /// Per-batch-index hit flags (hit[i] == true when batch[i] came from the
   /// tier), for callers that account per entry — the serve layer's
   /// coalesced screen responses report each request's own hit/miss.
@@ -227,18 +227,5 @@ struct ScreenBatchStats {
 std::vector<CandidateMetrics> screen_batch_cached(
     const tech::ArchParams& arch, const std::vector<topo::ShgParams>& batch,
     Session& session, ScreenBatchStats* stats = nullptr);
-
-/// Cached generic-family screen: looks up (arch, parent, delta) in the
-/// session, pricing a miss through `ctx` (the incremental stack — overlay
-/// bit sweep + routing suffix replay) and storing it. `arch_fp` /
-/// `parent_fp` are the precomputed fingerprints of ctx's arch and parent
-/// (compute them once per trajectory, not per child). Bit-identical to
-/// `ctx.screen_child(new_edges)` and so to `screen_topology` on the
-/// materialized child.
-CandidateMetrics screen_child_cached(Session& session,
-                                     const TopologyScreeningContext& ctx,
-                                     const Fingerprint& arch_fp,
-                                     const Fingerprint& parent_fp,
-                                     const std::vector<graph::Edge>& new_edges);
 
 }  // namespace shg::customize

@@ -309,6 +309,27 @@ struct CellEngine {
     return config;
   }
 
+  /// Simulates every cell of `cells` (flat indices) on the worker pool,
+  /// writing each result to runs[cell]. Workers claim cells highest offered
+  /// rate first: a cell's cost grows with its rate, so the long cells start
+  /// early and the cheap ones fill the tail. Slots are index-addressed, so
+  /// the claim order changes no result bit.
+  void simulate_cells(std::vector<std::size_t> cells,
+                      std::vector<sim::SimResult>& runs) const {
+    const auto rate = [&](std::size_t i) {
+      std::size_t t, w, r, s;
+      decompose(i, t, w, r, s);
+      return spec.rates[r];
+    };
+    std::stable_sort(cells.begin(), cells.end(),
+                     [&](std::size_t a, std::size_t b) {
+                       return rate(a) > rate(b);
+                     });
+    parallel_for(cells.size(), [&](std::size_t k) {
+      runs[cells[k]] = simulate(cells[k]);
+    });
+  }
+
   /// One independent simulation; safe to call from worker threads (all
   /// shared state is read-only, all mutable state is cell-private).
   sim::SimResult simulate(std::size_t i) const {
@@ -388,9 +409,7 @@ ExperimentReport run_experiment(const ExperimentSpec& spec) {
 
   // The flat fan-out: every remaining (topology, traffic, rate, seed)
   // cell is an independent simulation writing into its own slot.
-  parallel_for(to_sim.size(), [&](std::size_t k) {
-    runs[to_sim[k]] = engine.simulate(to_sim[k]);
-  });
+  engine.simulate_cells(to_sim, runs);
   if (spec.session != nullptr) {
     // Store in ascending cell order so the result tier's LRU order — and
     // therefore any later eviction — is deterministic.
@@ -475,14 +494,12 @@ ShardRunStats run_experiment_shard(const ExperimentSpec& spec,
     to_sim.push_back(i);
   }
 
-  std::vector<sim::SimResult> results(to_sim.size());
-  parallel_for(to_sim.size(), [&](std::size_t k) {
-    results[k] = engine.simulate(to_sim[k]);
-  });
+  std::vector<sim::SimResult> runs(engine.total());
+  engine.simulate_cells(to_sim, runs);
   // Ascending cell order keeps the tier's LRU (and shard-file) order a
   // pure function of the spec and shard assignment.
-  for (std::size_t k = 0; k < to_sim.size(); ++k) {
-    spec.session->store_sim(engine.cell_keys[to_sim[k]], results[k]);
+  for (std::size_t i : to_sim) {
+    spec.session->store_sim(engine.cell_keys[i], runs[i]);
   }
   stats.simulated = to_sim.size();
   return stats;

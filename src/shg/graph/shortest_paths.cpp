@@ -214,34 +214,8 @@ DistanceSummary distance_summary(const Graph& g) {
   return distance_summary(g, ws);
 }
 
-void EdgeOverlay::assign(int num_nodes, const std::vector<Edge>& edges) {
-  SHG_REQUIRE(num_nodes >= 0, "node count must be non-negative");
-  offsets_.assign(static_cast<std::size_t>(num_nodes) + 1, 0);
-  for (const Edge& e : edges) {
-    SHG_REQUIRE(e.u >= 0 && e.u < num_nodes && e.v >= 0 && e.v < num_nodes,
-                "overlay edge endpoint out of range");
-    ++offsets_[static_cast<std::size_t>(e.u) + 1];
-    ++offsets_[static_cast<std::size_t>(e.v) + 1];
-  }
-  for (int u = 0; u < num_nodes; ++u) {
-    offsets_[static_cast<std::size_t>(u) + 1] +=
-        offsets_[static_cast<std::size_t>(u)];
-  }
-  targets_.resize(static_cast<std::size_t>(offsets_.back()));
-  std::vector<int> cursor(offsets_.begin(), offsets_.end() - 1);
-  for (const Edge& e : edges) {
-    targets_[static_cast<std::size_t>(
-        cursor[static_cast<std::size_t>(e.u)]++)] = e.v;
-    targets_[static_cast<std::size_t>(
-        cursor[static_cast<std::size_t>(e.v)]++)] = e.u;
-  }
-}
-
-AllPairsTotals all_pairs_totals(const Graph& g, const EdgeOverlay* overlay,
-                                BitSweepWorkspace& ws) {
+AllPairsTotals all_pairs_totals(const Graph& g, BitSweepWorkspace& ws) {
   const int n = g.num_nodes();
-  SHG_REQUIRE(overlay == nullptr || overlay->num_nodes() == n,
-              "overlay node count does not match the graph");
   AllPairsTotals totals;
   if (n <= 0) return totals;
   const std::size_t un = static_cast<std::size_t>(n);
@@ -270,12 +244,6 @@ AllPairsTotals all_pairs_totals(const Graph& g, const EdgeOverlay* overlay,
         std::uint64_t acc = 0;
         for (const Neighbor& nb : g.neighbors(v)) {
           acc |= ws.frontier[static_cast<std::size_t>(nb.node)];
-        }
-        if (overlay != nullptr) {
-          for (const NodeId* u = overlay->begin(v); u != overlay->end(v);
-               ++u) {
-            acc |= ws.frontier[static_cast<std::size_t>(*u)];
-          }
         }
         acc &= ~ws.reached[static_cast<std::size_t>(v)];
         ws.next[static_cast<std::size_t>(v)] = acc;

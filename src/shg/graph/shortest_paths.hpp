@@ -97,42 +97,13 @@ struct DistanceSummary {
 DistanceSummary distance_summary(const Graph& g);
 DistanceSummary distance_summary(const Graph& g, BfsWorkspace& ws);
 
-/// Extra adjacency overlaid on a base graph: per node, the neighbor
-/// endpoints a set of new edges contributes. Lets distance computations run
-/// against "base graph plus these edges" without materializing the child
-/// graph — the DSE screening fast path prices hundreds of children of one
-/// parent topology and the child graph construction would dominate it.
-/// `assign` is reusable (buffers keep their capacity across children).
-class EdgeOverlay {
- public:
-  /// Rebuilds the overlay for `edges` over a `num_nodes`-node base graph.
-  /// Endpoint ids are range-checked; edges are assumed absent from the base
-  /// (same contract as update_distances_add_edges).
-  void assign(int num_nodes, const std::vector<Edge>& edges);
-
-  int num_nodes() const { return static_cast<int>(offsets_.size()) - 1; }
-
-  /// Extra neighbors of `u` (endpoints only; overlay edges carry no ids).
-  const NodeId* begin(NodeId u) const {
-    return targets_.data() + offsets_[static_cast<std::size_t>(u)];
-  }
-  const NodeId* end(NodeId u) const {
-    return targets_.data() + offsets_[static_cast<std::size_t>(u) + 1];
-  }
-
- private:
-  std::vector<int> offsets_;  ///< CSR offsets, num_nodes + 1 entries
-  std::vector<NodeId> targets_;
-};
-
-/// Exact integer aggregates of the all-pairs hop-distance matrix. The
-/// conventions match what screening folds over cached distance rows: pairs
+/// Exact integer aggregates of the all-pairs hop-distance matrix: pairs
 /// are ordered, self pairs (distance 0) are included in `sum` and
 /// `reachable_pairs`, and `diameter` is the largest finite distance.
 /// Integer arithmetic is exact, so any two algorithms computing these agree
-/// bit for bit — which is what lets the screening fast path swap the
-/// per-row delta-BFS repair for the bit-parallel sweep below without
-/// perturbing a single metric.
+/// bit for bit — which is what lets SHG screening take them from the
+/// factor-line product `topo::shg_hop_totals` instead of a sweep of the
+/// whole grid without perturbing a single metric.
 struct AllPairsTotals {
   long long sum = 0;
   long long reachable_pairs = 0;
@@ -147,15 +118,11 @@ struct BitSweepWorkspace {
   std::vector<std::uint64_t> next;
 };
 
-/// Bit-parallel all-pairs totals over `g` plus an optional `overlay` of
-/// extra edges: sources are processed 64 at a time as single-word node
-/// masks, one synchronous BFS round per distance value, so the whole
-/// all-pairs sweep costs O(ceil(n/64) * diameter * E) word operations
-/// instead of n separate BFS traversals. For screening-sized fabrics this
-/// is an order of magnitude cheaper than even an incremental per-row
-/// repair, and it needs no cached parent state at all.
-AllPairsTotals all_pairs_totals(const Graph& g, const EdgeOverlay* overlay,
-                                BitSweepWorkspace& ws);
+/// Bit-parallel all-pairs totals over `g`: sources are processed 64 at a
+/// time as single-word node masks, one synchronous BFS round per distance
+/// value, so the whole all-pairs sweep costs O(ceil(n/64) * diameter * E)
+/// word operations instead of n separate BFS traversals.
+AllPairsTotals all_pairs_totals(const Graph& g, BitSweepWorkspace& ws);
 
 /// All-pairs hop distances; result[u][v] is the hop distance from u to v.
 std::vector<std::vector<int>> all_pairs_hops(const Graph& g);

@@ -28,28 +28,27 @@
 // tests/phys_incremental_test.cpp asserts exactly that.
 //
 // Orientation split: same-row links read and write only horizontal-channel
-// loads, same-column links only vertical ones. When neither parent nor
-// child has a diagonal (L-shaped, SlimNoC-style) link in the divergent
-// suffix, the two orientations are independent decision streams, and each
-// is repaired from its own divergence class — adding a row skip leaves the
-// vertical profile untouched entirely. Diagonal links couple the streams
-// (their channel choice reads both profiles), so any diagonal at or below
-// the divergence class forces a joint replay of both.
+// loads, same-column links only vertical ones. A context therefore requires
+// a parent without diagonal (L-shaped, SlimNoC-style) links — checked at
+// construction; mesh and torus wraps are axis-aligned and qualify — and
+// skip links are axis-aligned by construction, so the two orientations are
+// independent decision streams and each is repaired from its own divergence
+// class. Adding a row skip leaves the vertical profile untouched entirely.
 //
 // == Exactness & concurrency ==============================================
 //
-//  * Exactness. Every `route_child_loads` overload returns load profiles
-//    BIT-IDENTICAL to `global_route_loads` on the materialized child —
-//    guaranteed by executing the shared decision core (phys/route_core.hpp)
+//  * Exactness. `route_child_loads` returns load profiles BIT-IDENTICAL
+//    to `global_route_loads` on the materialized child — guaranteed by
+//    executing the shared decision core (phys/route_core.hpp)
 //    over a state the from-scratch run provably reaches, and asserted by
 //    the randomized differential oracle in tests/phys_incremental_test.cpp.
 //    There is no approximate mode: the repair is the only way a context
 //    prices a child.
-//  * Concurrency. A constructed RoutingContext is immutable; every
-//    `route_child_loads` overload is const and touches only caller-owned
-//    output state, so ANY number of threads may repair children against
-//    one shared context concurrently (the screening engines do exactly
-//    that, with one `GlobalRoutingResult` scratch per worker).
+//  * Concurrency. A constructed RoutingContext is immutable;
+//    `route_child_loads` is const and touches only caller-owned output
+//    state, so ANY number of threads may repair children against one
+//    shared context concurrently (the screening engines do exactly that,
+//    with one `GlobalRoutingResult` scratch per worker).
 //    Construction itself must be exclusive — build the context before
 //    fanning out.
 #pragma once
@@ -60,16 +59,6 @@
 
 namespace shg::phys {
 
-/// One router-to-router link in grid coordinates — the currency of the
-/// generic added-links repair below. Endpoint order is normalized
-/// internally (lower node id first), so callers may pass either order.
-struct GridLink {
-  topo::TileCoord a;
-  topo::TileCoord b;
-
-  friend bool operator==(const GridLink&, const GridLink&) = default;
-};
-
 /// Cached global-routing state of one parent topology.
 class RoutingContext {
  public:
@@ -77,33 +66,23 @@ class RoutingContext {
   /// snapshots the repairs below restore. The parent topology is not
   /// retained; re-keying a context onto a new parent is a fresh
   /// construction (one loads-only route — the same cost the cache saves per
-  /// screened child, paid once per accepted DSE step).
+  /// screened child, paid once per accepted DSE step). Throws shg::Error if
+  /// `parent` has a diagonal link (the orientation split must apply).
   explicit RoutingContext(const topo::Topology& parent);
-
-  int rows() const { return rows_; }
-  int cols() const { return cols_; }
 
   /// Channel loads of the parent itself; bit-identical to
   /// `global_route_loads(parent)` (routes are not materialized).
   const GlobalRoutingResult& loads() const { return final_; }
 
-  /// Repairs the cached profiles for an arbitrary `child` over the same
-  /// grid. Divergence is detected per length class by comparing link
-  /// geometry, so any child works — a child sharing no long-link prefix
-  /// with the parent simply degenerates to a full re-route. Bit-identical
-  /// to `global_route_loads(child)`. `routes` is left empty.
-  GlobalRoutingResult route_child_loads(const topo::Topology& child) const;
-
-  /// SHG fast path: the child is the parent plus the skip links of the
-  /// given new skip distances, in `topo::for_each_skip_link` order (what
+  /// The child is the parent plus the skip links of the given new skip
+  /// distances, in `topo::for_each_skip_link` order (what
   /// `make_sparse_hamming` produces for a skip-superset child, appended
   /// after any same-length parent links). No child Topology is
   /// materialized — the replay enumerates the new links directly from the
   /// skip definition — which removes the child graph construction from the
-  /// screening hot path. Requires a parent without diagonal links (the
-  /// orientation split must apply); new skips must be strictly ascending
-  /// (checked) and absent from the parent's same-orientation classes
-  /// produced by skips.
+  /// screening hot path. New skips must be strictly ascending (checked)
+  /// and absent from the parent's same-orientation classes produced by
+  /// skips.
   ///
   /// `out` is overwritten and may be reused across calls to keep the load
   /// grids' heap allocations warm.
@@ -111,29 +90,13 @@ class RoutingContext {
                          const std::vector<int>& new_col_skips,
                          GlobalRoutingResult* out) const;
 
-  /// Generic added-links fast path: the child is the parent plus
-  /// `new_links`, appended after the parent's edges in the given order —
-  /// exactly the child a copy of the parent plus `add_link` calls in that
-  /// order would produce (links absent from the parent; the context cannot
-  /// check this, it no longer holds the parent graph). No child Topology
-  /// is materialized. Unlike the skip-distance overload, diagonal links
-  /// are allowed anywhere: a diagonal at or below the divergence class
-  /// (largest new non-unit class) couples the channel orientations and
-  /// forces a joint replay of both; otherwise each orientation replays
-  /// from its own divergence. Bit-identical to `global_route_loads` on the
-  /// materialized child. This is what lets non-SHG families (SlimNoC,
-  /// torus, arbitrary overlay children) flow through the same incremental
-  /// screening stack as SHG candidates.
-  ///
-  /// `out` is overwritten and may be reused across calls.
-  void route_child_loads(const std::vector<GridLink>& new_links,
-                         GlobalRoutingResult* out) const;
-
  private:
-  /// One link in greedy-order position: `a` is the lower-node-id endpoint
-  /// (the L-shape of a diagonal turns at b's column, so the pair is
-  /// ordered).
-  using LinkRec = GridLink;
+  /// One axis-aligned link in greedy-order position; `a` is the
+  /// lower-node-id endpoint.
+  struct LinkRec {
+    topo::TileCoord a;
+    topo::TileCoord b;
+  };
   /// All non-unit links of one length class, in greedy (edge-id) order,
   /// preceded by the load state the greedy run reaches just before routing
   /// the class.
@@ -145,8 +108,6 @@ class RoutingContext {
   };
 
   static bool is_h(const LinkRec& r) { return r.a.row == r.b.row; }
-  static bool is_v(const LinkRec& r) { return r.a.col == r.b.col; }
-  static bool is_diag(const LinkRec& r) { return !is_h(r) && !is_v(r); }
 
   /// Load state after all parent classes with length > `len` (the boundary
   /// a suffix replay starting at class `len` restores).
@@ -160,7 +121,6 @@ class RoutingContext {
   int cols_ = 0;
   std::vector<ClassEntry> classes_;  ///< descending by len; len >= 2 only
   GlobalRoutingResult final_;        ///< parent loads; routes empty
-  int min_diag_len_ = 0;  ///< smallest diagonal class; INT_MAX if none
 };
 
 }  // namespace shg::phys

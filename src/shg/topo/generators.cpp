@@ -46,7 +46,7 @@ graph::AllPairsTotals line_hop_totals(int len, const std::set<int>& skips) {
                        line.add_edge(a.col, b.col);
                      });
   graph::BitSweepWorkspace ws;
-  return graph::all_pairs_totals(line, nullptr, ws);
+  return graph::all_pairs_totals(line, ws);
 }
 
 }  // namespace

@@ -9,9 +9,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <iterator>
+#include <string>
+#include <utility>
 
 #include "shg/common/parallel.hpp"
 #include "shg/customize/session.hpp"
@@ -299,6 +302,62 @@ TEST(ResultTier, OverlapOnlySimulatesNewCells) {
   EXPECT_EQ(warm.sim_cache_hits, 2u * per_seed);
   EXPECT_EQ(warm.sim_simulated, per_seed);
   EXPECT_EQ(report_bytes(warm), reference_bytes());
+}
+
+TEST(ResultTier, UnsortedRatesByteIdenticalAcrossWorkerCounts) {
+  // Workers claim cells highest offered rate first, so with unsorted rates
+  // the claim order differs from the cell order. Neither the report nor
+  // the saved sim-tier file (LRU order = store order) may depend on it.
+  ExperimentSpec spec = small_spec();
+  spec.rates = {0.1, 0.02, 0.05};
+  const std::string path = testing::TempDir() + "/unsorted-rates.cache";
+  auto file_bytes = [&](customize::Session& session) {
+    EXPECT_GT(session.sim_cache().save_file(path), 0u);
+    std::ifstream in(path, std::ios::binary);
+    std::string bytes((std::istreambuf_iterator<char>(in)),
+                      std::istreambuf_iterator<char>());
+    in.close();
+    std::remove(path.c_str());
+    return bytes;
+  };
+  auto run = [&](int threads) {
+    customize::Session session;
+    spec.session = &session;
+    set_max_threads(threads);
+    const std::string report = report_bytes(run_experiment(spec));
+    set_max_threads(0);
+    return std::make_pair(report, file_bytes(session));
+  };
+  const auto [serial, serial_file] = run(1);
+  const auto [parallel, parallel_file] = run(0);
+  EXPECT_EQ(serial, parallel);
+  EXPECT_EQ(serial_file, parallel_file);
+
+  // Reference: the same cells simulated one per run, in ascending cell
+  // order (topology slowest, seed fastest), into one session. Its tier
+  // file is the ascending store order, and a warm run served from it
+  // places every cached result by cell index alone.
+  customize::Session reference;
+  for (const TopologyCase& topology : spec.topologies) {
+    for (const TrafficCase& traffic : spec.traffic) {
+      for (const double rate : spec.rates) {
+        for (const std::uint64_t seed : spec.seeds) {
+          ExperimentSpec cell = spec;
+          cell.topologies = {topology};
+          cell.traffic = {traffic};
+          cell.rates = {rate};
+          cell.seeds = {seed};
+          cell.session = &reference;
+          run_experiment(cell);
+        }
+      }
+    }
+  }
+  EXPECT_EQ(file_bytes(reference), serial_file);
+  spec.session = &reference;
+  const ExperimentReport warm = run_experiment(spec);
+  EXPECT_EQ(warm.sim_simulated, 0u);
+  EXPECT_EQ(report_bytes(warm), serial);
 }
 
 TEST(ResultTier, BorrowedPatternCellsAlwaysSimulate) {

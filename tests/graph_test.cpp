@@ -288,7 +288,7 @@ TEST(ShortestPaths, AllPairsTotalsMatchDistanceSummary) {
   // being bit-perfect.
   auto check = [](const Graph& g) {
     BitSweepWorkspace ws;
-    const AllPairsTotals totals = all_pairs_totals(g, nullptr, ws);
+    const AllPairsTotals totals = all_pairs_totals(g, ws);
     long long sum = 0;
     long long reachable = 0;
     int diameter = 0;
@@ -334,45 +334,6 @@ TEST(ShortestPaths, AllPairsTotalsMatchDistanceSummary) {
     check(Graph(1));
     check(Graph(3));
   }
-}
-
-TEST(ShortestPaths, AllPairsTotalsWithOverlayMatchMaterializedChild) {
-  // Base graph plus overlay edges must total exactly like the graph with
-  // those edges added for real.
-  Graph base(12);
-  for (NodeId u = 0; u + 1 < 12; ++u) base.add_edge(u, u + 1);
-  const std::vector<Edge> extra = {{0, 7}, {2, 11}, {5, 9}};
-  Graph child = base;
-  for (const Edge& e : extra) child.add_edge(e.u, e.v);
-
-  EdgeOverlay overlay;
-  overlay.assign(12, extra);
-  BitSweepWorkspace ws;
-  const AllPairsTotals with_overlay = all_pairs_totals(base, &overlay, ws);
-  const AllPairsTotals materialized = all_pairs_totals(child, nullptr, ws);
-  EXPECT_EQ(with_overlay.sum, materialized.sum);
-  EXPECT_EQ(with_overlay.reachable_pairs, materialized.reachable_pairs);
-  EXPECT_EQ(with_overlay.diameter, materialized.diameter);
-
-  // Overlay reuse: reassigning for a different edge set must not leak the
-  // previous one.
-  overlay.assign(12, {{0, 11}});
-  Graph child2 = base;
-  child2.add_edge(0, 11);
-  const AllPairsTotals reused = all_pairs_totals(base, &overlay, ws);
-  const AllPairsTotals fresh2 = all_pairs_totals(child2, nullptr, ws);
-  EXPECT_EQ(reused.sum, fresh2.sum);
-  EXPECT_EQ(reused.diameter, fresh2.diameter);
-}
-
-TEST(ShortestPaths, EdgeOverlayRejectsOutOfRangeEndpoints) {
-  EdgeOverlay overlay;
-  EXPECT_THROW(overlay.assign(4, {{0, 4}}), Error);
-  EXPECT_THROW(overlay.assign(4, {{-1, 2}}), Error);
-  BitSweepWorkspace ws;
-  Graph g(5);
-  overlay.assign(4, {{0, 3}});
-  EXPECT_THROW(all_pairs_totals(g, &overlay, ws), Error);
 }
 
 TEST(SpanningTree, ParentsAndLevels) {

@@ -255,7 +255,7 @@ void expect_product_totals(int rows, int cols, const std::set<int>& sr,
   const graph::AllPairsTotals product = shg_hop_totals(rows, cols, sr, sc);
   graph::BitSweepWorkspace ws;
   const graph::AllPairsTotals swept =
-      graph::all_pairs_totals(topo.graph(), nullptr, ws);
+      graph::all_pairs_totals(topo.graph(), ws);
   const std::string where = std::to_string(rows) + "x" +
                             std::to_string(cols) + " " + topo.name();
   EXPECT_EQ(product.sum, swept.sum) << where;
